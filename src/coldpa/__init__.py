@@ -8,6 +8,9 @@ observables used to interpret a run (level populations, momentum peaks,
 thermal molecule counts, density holes).
 """
 
+# defined before the submodules load: io stamps it into run manifests
+__version__ = "0.1.0"
+
 from .config import RunConfig
 from .errors import (CalibrationError, ColdpaError, ConfigError,
                      DimensionError, DomainError, GridCapacityError,
@@ -35,8 +38,6 @@ from .spectrum import (ContinuumRef, LevelSet, adiabatic_period, beat_period,
                        continuum_state, count_nodes, franck_condon,
                        hamiltonian_matrix, solve_levels, vibrational_period)
 from .units import Quantity, convert
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AdiabaticPair", "CalibrationError", "ColdpaError", "ConfigError",

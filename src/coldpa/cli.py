@@ -167,9 +167,10 @@ def cmd_analyze(args, cfg: RunConfig):
     rows = []
     for ch, amp, lv, curve in (("g", last.g, lv_g, system.ground),
                                ("e", last.e, lv_e, system.excited)):
-        pops = level_populations(grid, amp, lv.bound())
+        bound = lv.bound()
+        pops = level_populations(grid, amp, bound)
         for v, p in enumerate(pops):
-            rows.append((ch, v, float(lv.bound().energies[v]), p))
+            rows.append((ch, v, float(bound.energies[v]), p))
         report[f"bound_fraction_{ch}"] = bound_fraction(grid, amp, lv)
         report[f"continuum_fraction_{ch}"] = continuum_fraction(
             grid, amp, lv)

@@ -287,12 +287,12 @@ def from_momentum(grid: RadialGrid, spec: MomentumSpectrum) -> np.ndarray:
     """Inverse of :func:`to_momentum`, sampled back at the grid nodes."""
     m = len(spec.k)
     dr = 2.0 * np.pi / (m * spec.dk)
-    shifted = np.fft.ifftshift(spec.amp * np.exp(1j * spec.k * grid.r_lo))
+    # uniform grids transformed without resampling; r0 was the first node
+    r0 = grid.r[0] if grid.jac is None else grid.r_lo
+    shifted = np.fft.ifftshift(spec.amp * np.exp(1j * spec.k * r0))
     vals = np.fft.ifft(shifted) * np.sqrt(2.0 * np.pi) / dr
     if grid.jac is None:
-        # uniform grids transformed without resampling; r0 was the first node
-        shifted = np.fft.ifftshift(spec.amp * np.exp(1j * spec.k * grid.r[0]))
-        return np.fft.ifft(shifted) * np.sqrt(2.0 * np.pi) / dr
+        return vals
     r_aux = grid.r_lo + dr * np.arange(m)
     re = CubicSpline(r_aux, vals.real)(grid.r)
     im = CubicSpline(r_aux, vals.imag)(grid.r)

@@ -13,10 +13,9 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError, DomainError
 from .grids import RadialGrid, TwoChannelState
-
-_PKG_VERSION = "0.1.0"
 
 
 def format_float(x) -> str:
@@ -86,7 +85,7 @@ def write_manifest(out_dir: str, command: str, config_text: str,
         "config": config_text,
         "files": sorted(f for f in os.listdir(out_dir)
                         if f != "manifest.json"),
-        "version": _PKG_VERSION,
+        "version": __version__,
     }
     if extra:
         manifest.update(extra)

@@ -7,6 +7,15 @@ potentials, the peak coupling, and the grid's kinetic capacity, padded by a
 configurable margin; a runaway recurrence is detected and reported rather
 than silently aliased.
 
+Grids of up to 256 points take the dense path: the coupled Hamiltonian is
+one real 2n x 2n matrix and each Chebyshev term is one matmul on the real
+(2n, 2) [re, im] view of the state. Larger grids apply the kinetic energy
+by sine/cosine transforms. On the dense path a constant segment of more
+than 2n steps builds U(dt, f) = exp(-i H(f) dt) once, by running the same
+recurrence on the 2n identity columns (the flops of stepping 2n vectors),
+and then takes each step as one complex matvec; U is cached per (dt, f),
+so ramps never build one.
+
 Short-range repulsive walls can tower orders of magnitude above every
 energy the dynamics visits and would inflate the expansion order, so the
 propagator caps the potentials at a configurable ceiling (default: highest
@@ -96,29 +105,42 @@ class _Engine:
         self.ve = np.minimum(sys.excited.value(grid.r), cap)
         self.w_peak = sys.coupling
         # dense kinetic matvec wins below a few hundred points
-        if grid.n <= 256:
-            t_phi = kinetic_matrix(grid)
-            if grid.jac is None:
-                self.t_dense = t_phi
-            else:
-                rj = np.sqrt(grid.jac)
-                self.t_dense = (t_phi * rj[None, :]) / rj[:, None]
-        else:
-            self.t_dense = None
+        self.h_dense = self._dense_hamiltonian() if grid.n <= 256 else None
         self._coef_cache: dict[float, np.ndarray] = {}
+        self._u_cache: dict[tuple[float, float], np.ndarray] = {}
         self.matvecs = 0
         self.max_order = 0
+        self.propagator_builds = 0
+
+    def _dense_hamiltonian(self) -> np.ndarray:
+        """Uncoupled H as one real 2n x 2n matrix, channels interleaved
+        (index 2i ground, 2i+1 excited at node i), so that a C-ordered
+        (n, 2) pair is a 2n vector without a copy."""
+        grid = self.grid
+        t_phi = kinetic_matrix(grid)
+        if grid.jac is not None:
+            rj = np.sqrt(grid.jac)
+            t_phi = (t_phi * rj[None, :]) / rj[:, None]
+        h = np.zeros((2 * grid.n, 2 * grid.n))
+        h[0::2, 0::2] = t_phi + np.diag(self.vg)
+        h[1::2, 1::2] = t_phi + np.diag(self.ve)
+        return h
 
     def apply_h(self, pair: np.ndarray, w_eff: float) -> np.ndarray:
         """H acting on stacked channels, pair shape (n, 2)."""
-        if self.t_dense is not None:
-            out = self.t_dense @ pair
-        else:
-            out = apply_kinetic(self.grid, pair)
+        out = apply_kinetic(self.grid, pair)
         out[:, 0] += self.vg * pair[:, 0] + w_eff * pair[:, 1]
         out[:, 1] += self.ve * pair[:, 1] + w_eff * pair[:, 0]
-        self.matvecs += 1
         return out
+
+    def _scaled_dense(self, w_eff: float) -> np.ndarray:
+        """(H(w_eff) - e_mid) / half_span as a real 2n x 2n matrix."""
+        inv = 1.0 / self.half_span
+        a = self.h_dense * inv
+        i = np.arange(len(a))
+        a[i, i] -= self.e_mid * inv
+        a[i, i ^ 1] = w_eff * inv      # couples the two channels of a node
+        return a
 
     def _coefficients(self, alpha: float) -> np.ndarray:
         coefs = self._coef_cache.get(alpha)
@@ -140,32 +162,67 @@ class _Engine:
         self._coef_cache[alpha] = coefs
         return coefs
 
-    def step(self, pair: np.ndarray, dt: float, f_mid: float) -> np.ndarray:
-        """exp(-i H(f_mid) dt) applied to stacked channels."""
-        alpha = self.half_span * dt
-        coefs = self._coefficients(alpha)
-        self.max_order = max(self.max_order, len(coefs) - 1)
-        w_eff = self.w_peak * f_mid
-        inv = 1.0 / self.half_span
-        guard = 100.0 * float(np.max(np.abs(pair))) + 1e-300
+    def _series(self, apply_a, v: np.ndarray, dt: float) -> np.ndarray:
+        """exp(-i H dt) v = e^{-i e_mid dt} sum_k c_k T_k(A) v, with
+        A = (H - e_mid) / half_span applied by apply_a.
 
-        phi_prev = pair
-        acc = coefs[0] * pair
-        if len(coefs) > 1:
-            phi = (self.apply_h(pair, w_eff) - self.e_mid * pair) * inv
-            acc = acc + coefs[1] * phi
-            for n in range(2, len(coefs)):
-                nxt = 2.0 * (self.apply_h(phi, w_eff)
-                             - self.e_mid * phi) * inv - phi_prev
-                phi_prev, phi = phi, nxt
-                acc = acc + coefs[n] * phi
-                if n % 16 == 0 and float(np.max(np.abs(phi))) > guard:
+        A is real, so v may be real or complex, and each column of v is
+        propagated on its own. One matvec is counted per term after the
+        first.
+        """
+        coefs = self._coefficients(self.half_span * dt)
+        order = len(coefs) - 1
+        guard = 100.0 * float(np.max(np.abs(v))) + 1e-300
+        acc = coefs[0] * v
+        if order > 0:
+            phi_prev, phi = v, apply_a(v)
+            acc += coefs[1] * phi
+            for k in range(2, order + 1):
+                phi_prev, phi = phi, 2.0 * apply_a(phi) - phi_prev
+                acc += coefs[k] * phi
+                if k % 16 == 0 and float(np.max(np.abs(phi))) > guard:
                     raise SpectralBoundsError(
                         "Chebyshev recurrence is growing: the Hamiltonian "
                         "spectrum leaves the declared bounds; re-estimate "
                         "them (raise the margin or the potential cap)"
                     )
+        self.matvecs += order
+        self.max_order = max(self.max_order, order)
         return acc * np.exp(-1j * self.e_mid * dt)
+
+    def step(self, pair: np.ndarray, dt: float, f_mid: float) -> np.ndarray:
+        """exp(-i H(f_mid) dt) applied to stacked channels."""
+        w_eff = self.w_peak * f_mid
+        if self.h_dense is None:
+            inv = 1.0 / self.half_span
+
+            def apply_a(x):
+                return (self.apply_h(x, w_eff) - self.e_mid * x) * inv
+
+            return self._series(apply_a, pair, dt)
+        pair = np.ascontiguousarray(pair, dtype=complex)
+        # real (2n, 2) [re, im] view: each term is one real matmul
+        acc = self._series(self._scaled_dense(w_eff).__matmul__,
+                           pair.view(float).reshape(-1, 2), dt)
+        return (acc[:, 0] + 1j * acc[:, 1]).reshape(pair.shape)
+
+    def propagator(self, dt: float, f: float,
+                   n_steps: int) -> np.ndarray | None:
+        """Dense exp(-i H(f) dt) for n_steps steps of one constant segment,
+        or None when stepping vectors is cheaper.
+
+        Building U runs the recurrence on the 2n identity columns, the
+        flops of stepping 2n vectors, so it pays off only beyond 2n steps.
+        """
+        if self.h_dense is None or n_steps <= len(self.h_dense):
+            return None
+        u = self._u_cache.get((dt, f))
+        if u is None:
+            u = self._series(self._scaled_dense(self.w_peak * f).__matmul__,
+                             np.eye(len(self.h_dense)), dt)
+            self._u_cache[(dt, f)] = u
+            self.propagator_builds += 1
+        return u
 
 
 def step(sys: CoupledSystem, grid: RadialGrid, state: TwoChannelState,
@@ -255,15 +312,25 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
         snaps.append(TwoChannelState(grid, pair[:, 0].copy(),
                                      pair[:, 1].copy(), t))
 
+    cached_steps = 0
     knots = _knot_times(sys, plan)
     for ta, tb in zip(knots[:-1], knots[1:]):
-        shape = _segment_shape(sys, 0.5 * (ta + tb))
-        dt_base = plan.dt_flat if shape == "const" else plan.dt_ramp
+        const = _segment_shape(sys, 0.5 * (ta + tb)) == "const"
+        dt_base = plan.dt_flat if const else plan.dt_ramp
         n_steps = max(1, int(math.ceil((tb - ta) / dt_base - 1e-12)))
         dt = (tb - ta) / n_steps
+        u = None
+        if const:
+            f_mid = float(sys.envelope.value(0.5 * (ta + tb)))
+            u = eng.propagator(dt, f_mid, n_steps)
         for _ in range(n_steps):
-            f_mid = float(sys.envelope.value(t + 0.5 * dt))
-            pair = eng.step(pair, dt, f_mid)
+            if u is not None:
+                pair = (u @ pair.reshape(-1)).reshape(pair.shape)
+                cached_steps += 1
+            else:
+                if not const:
+                    f_mid = float(sys.envelope.value(t + 0.5 * dt))
+                pair = eng.step(pair, dt, f_mid)
             t += dt
             pg, pe = pops(pair)
             rec_t.append(t); rec_g.append(pg); rec_e.append(pe)
@@ -277,6 +344,8 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
     meta = {
         "e_lo": eng.e_lo, "e_hi": eng.e_hi, "v_cap": eng.cap,
         "matvecs": eng.matvecs, "max_order": eng.max_order,
+        "propagator_builds": eng.propagator_builds,
+        "cached_steps": cached_steps,
     }
     return TimeSeries(
         t=np.array(rec_t), pop_g=np.array(rec_g), pop_e=np.array(rec_e),

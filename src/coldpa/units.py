@@ -32,9 +32,6 @@ amu2me = 1822.888486                 # electron masses per unified amu
 cs_mass_amu = 132.905451933
 mu_cs2 = cs_mass_amu * amu2me / 2.0  # Cs2 reduced mass in m_e
 
-# hbar expressed in cm^-1 * s, convenient for period formulas in reports
-hbar_cm_s = autime2s / hartree2cm
-
 
 # unit registry: canonical name -> (dimension, factor to atomic units)
 _REGISTRY = {

@@ -214,3 +214,63 @@ def test_runaway_recurrence_is_caught():
     pair = np.column_stack([init.g, init.e]).astype(complex)
     with pytest.raises(SpectralBoundsError):
         eng.step(pair, 60.0 / eng.half_span, 1.0)
+
+
+# --- dense propagator on constant segments ----------------------------------------
+
+def test_cached_propagator_matches_vector_recurrence():
+    sys_, grid, init = _offset_pair()
+    eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    dt = 0.02 * ps2au
+    u = eng.propagator(dt, 1.0, n_steps=2 * grid.n + 1)
+    assert u.shape == (2 * grid.n, 2 * grid.n)
+    assert eng.propagator(dt, 1.0, n_steps=2 * grid.n + 1) is u
+    assert eng.propagator_builds == 1
+    pair = np.column_stack([init.g, init.e]).astype(complex)
+    # one step: U product, dense recurrence and transform-kernel recurrence
+    fft = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    fft.h_dense = None
+    ref = eng.step(pair, dt, 1.0)
+    np.testing.assert_allclose((u @ pair.reshape(-1)).reshape(pair.shape),
+                               ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fft.step(pair, dt, 1.0), ref,
+                               rtol=0, atol=1e-12)
+    cached = vector = pair
+    for _ in range(1000):
+        cached = (u @ cached.reshape(-1)).reshape(pair.shape)
+        vector = eng.step(vector, dt, 1.0)
+    np.testing.assert_allclose(cached, vector, rtol=0, atol=1e-10)
+
+
+def test_ramp_only_plan_builds_no_propagator():
+    sys_, grid, init = _offset_pair()
+    plan = PropagationPlan.from_ps(t_start=0.0, t_end=2.0, dt_ramp=0.004)
+    ts = propagate(sys_, grid, plan, init)
+    assert len(ts.t) - 1 == 500 > 2 * grid.n
+    assert ts.meta["propagator_builds"] == 0
+    assert ts.meta["cached_steps"] == 0
+
+
+def test_flat_top_and_dark_tail_build_one_propagator_each():
+    sys_, grid, init = _offset_pair()
+    plan = PropagationPlan.from_ps(t_start=0.0, t_end=15.0, dt_ramp=0.005,
+                                   dt_flat=0.005)
+    ts = propagate(sys_, grid, plan, init)
+    meta = ts.meta
+    assert meta["propagator_builds"] == 2
+    assert meta["cached_steps"] == 2000 + 200
+    # one matvec per Chebyshev term: 800 ramp steps plus the two builds
+    assert meta["matvecs"] == (800 + 2) * meta["max_order"]
+    assert ts.norm_drift() < 1e-10
+
+
+@pytest.mark.parametrize("n_steps, builds", [(128, 0), (129, 1)])
+def test_propagator_built_only_beyond_2n_steps(n_steps, builds):
+    sys_, grid, init = _offset_pair()
+    assert 2 * grid.n == 128
+    plan = PropagationPlan.from_ps(t_start=14.0, t_end=15.0,
+                                   dt_flat=1.0 / n_steps)
+    ts = propagate(sys_, grid, plan, init)
+    assert len(ts.t) - 1 == n_steps
+    assert ts.meta["propagator_builds"] == builds
+    assert ts.meta["cached_steps"] == builds * n_steps

@@ -11,10 +11,13 @@ Grids of up to 256 points take the dense path: the coupled Hamiltonian is
 one real 2n x 2n matrix and each Chebyshev term is one matmul on the real
 (2n, 2) [re, im] view of the state. Larger grids apply the kinetic energy
 by sine/cosine transforms. On the dense path a constant segment of more
-than 2n steps builds U(dt, f) = exp(-i H(f) dt) once, by running the same
-recurrence on the 2n identity columns (the flops of stepping 2n vectors),
-and then takes each step as one complex matvec; U is cached per (dt, f),
-so ramps never build one.
+than n steps builds U(dt, f) = exp(-i H(f) dt) once, by running the same
+recurrence on the 2n identity columns, and then takes each step as one
+complex matvec; ramps never build one. Timed on 2 vCPUs, a build pays for
+itself after 14-18 steps at n=64 and about 47 at n=256, whatever the
+order, so the cut at n leaves a margin of 3.5 or more; in flops alone
+(no per-term overhead, matmul as fast as matvec) the break-even is
+n * order / (order - 2), within a few percent of n at the orders used.
 
 Short-range repulsive walls can tower orders of magnitude above every
 energy the dynamics visits and would inflate the expansion order, so the
@@ -107,7 +110,6 @@ class _Engine:
         # dense kinetic matvec wins below a few hundred points
         self.h_dense = self._dense_hamiltonian() if grid.n <= 256 else None
         self._coef_cache: dict[float, np.ndarray] = {}
-        self._u_cache: dict[tuple[float, float], np.ndarray] = {}
         self.matvecs = 0
         self.max_order = 0
         self.propagator_builds = 0
@@ -206,23 +208,12 @@ class _Engine:
                            pair.view(float).reshape(-1, 2), dt)
         return (acc[:, 0] + 1j * acc[:, 1]).reshape(pair.shape)
 
-    def propagator(self, dt: float, f: float,
-                   n_steps: int) -> np.ndarray | None:
-        """Dense exp(-i H(f) dt) for n_steps steps of one constant segment,
-        or None when stepping vectors is cheaper.
-
-        Building U runs the recurrence on the 2n identity columns, the
-        flops of stepping 2n vectors, so it pays off only beyond 2n steps.
-        """
-        if self.h_dense is None or n_steps <= len(self.h_dense):
-            return None
-        u = self._u_cache.get((dt, f))
-        if u is None:
-            u = self._series(self._scaled_dense(self.w_peak * f).__matmul__,
-                             np.eye(len(self.h_dense)), dt)
-            self._u_cache[(dt, f)] = u
-            self.propagator_builds += 1
-        return u
+    def propagator(self, dt: float, f: float) -> np.ndarray:
+        """Dense exp(-i H(f) dt) as a complex 2n x 2n matrix: the
+        recurrence run on the 2n identity columns."""
+        self.propagator_builds += 1
+        return self._series(self._scaled_dense(self.w_peak * f).__matmul__,
+                            np.eye(len(self.h_dense)), dt)
 
 
 def step(sys: CoupledSystem, grid: RadialGrid, state: TwoChannelState,
@@ -322,7 +313,9 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
         u = None
         if const:
             f_mid = float(sys.envelope.value(0.5 * (ta + tb)))
-            u = eng.propagator(dt, f_mid, n_steps)
+            # measured break-even is well below n steps: module docstring
+            if eng.h_dense is not None and n_steps > grid.n:
+                u = eng.propagator(dt, f_mid)
         for _ in range(n_steps):
             if u is not None:
                 pair = (u @ pair.reshape(-1)).reshape(pair.shape)

@@ -222,9 +222,8 @@ def test_cached_propagator_matches_vector_recurrence():
     sys_, grid, init = _offset_pair()
     eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
     dt = 0.02 * ps2au
-    u = eng.propagator(dt, 1.0, n_steps=2 * grid.n + 1)
+    u = eng.propagator(dt, 1.0)
     assert u.shape == (2 * grid.n, 2 * grid.n)
-    assert eng.propagator(dt, 1.0, n_steps=2 * grid.n + 1) is u
     assert eng.propagator_builds == 1
     pair = np.column_stack([init.g, init.e]).astype(complex)
     # one step: U product, dense recurrence and transform-kernel recurrence
@@ -264,10 +263,10 @@ def test_flat_top_and_dark_tail_build_one_propagator_each():
     assert ts.norm_drift() < 1e-10
 
 
-@pytest.mark.parametrize("n_steps, builds", [(128, 0), (129, 1)])
-def test_propagator_built_only_beyond_2n_steps(n_steps, builds):
+@pytest.mark.parametrize("n_steps, builds", [(64, 0), (65, 1)])
+def test_propagator_built_only_beyond_n_steps(n_steps, builds):
     sys_, grid, init = _offset_pair()
-    assert 2 * grid.n == 128
+    assert grid.n == 64
     plan = PropagationPlan.from_ps(t_start=14.0, t_end=15.0,
                                    dt_flat=1.0 / n_steps)
     ts = propagate(sys_, grid, plan, init)

@@ -20,7 +20,7 @@ from .config import RunConfig
 from .errors import (ColdpaError, ConfigError, DimensionError, DomainError,
                      GridMismatchError)
 from .grids import TwoChannelState, to_momentum
-from .impulsive import evolve_impulsive
+from .impulsive import evolve_impulsive, predict_k_peaks
 from .observables import (bound_fraction, continuum_fraction, detect_hole,
                           find_momentum_peaks, level_populations,
                           radius_from_momentum, thermal_yield)
@@ -162,15 +162,13 @@ def cmd_analyze(args, cfg: RunConfig):
                         "norm": last.norm()},
     }
 
-    lv_g = solve_levels(system.ground, grid)
-    lv_e = solve_levels(system.excited, grid)
     rows = []
-    for ch, amp, lv, curve in (("g", last.g, lv_g, system.ground),
-                               ("e", last.e, lv_e, system.excited)):
-        bound = lv.bound()
-        pops = level_populations(grid, amp, bound)
+    for ch, amp, curve in (("g", last.g, system.ground),
+                           ("e", last.e, system.excited)):
+        lv = solve_levels(curve, grid, window=(-np.inf, curve.asymptote))
+        pops = level_populations(grid, amp, lv)
         for v, p in enumerate(pops):
-            rows.append((ch, v, float(bound.energies[v]), p))
+            rows.append((ch, v, float(lv.energies[v]), p))
         report[f"bound_fraction_{ch}"] = bound_fraction(grid, amp, lv)
         report[f"continuum_fraction_{ch}"] = continuum_fraction(
             grid, amp, lv)
@@ -237,6 +235,7 @@ def cmd_impulsive(args, cfg: RunConfig):
             "impulsive analysis needs a stationary initial state "
             "(initial.kind = continuum or level)"
         )
+    peaks = predict_k_peaks(system, grid, state.g)
     for t_ps in args.t_ps:
         pred = evolve_impulsive(system, grid, state.g, info["e_g"],
                                 t_ps * ps2au)
@@ -248,11 +247,11 @@ def cmd_impulsive(args, cfg: RunConfig):
         io.write_csv(os.path.join(out, f"momentum_ia_{tag}.csv"),
                      ["k_au", "abs_amp"], zip(spec.k, np.abs(spec.amp)))
     io.write_json(os.path.join(out, "predicted_peaks.json"),
-                  io.peaks_to_json(pred.peaks))
+                  io.peaks_to_json(peaks))
     io.write_manifest(out, "impulsive", cfg.text)
     _say(args, f"{'r0 (bohr)':>10}{'k (a.u.)':>10}{'factor':>10}"
                f"{'t_match (ps)':>14}{'valid':>7}")
-    for p in pred.peaks:
+    for p in peaks:
         t_m = f"{p.t_match_ps:.1f}" if np.isfinite(p.t_match) else "-"
         _say(args, f"{p.r0:>10.2f}{p.k:>10.2f}{p.amplitude_factor:>10.4f}"
                    f"{t_m:>14}{str(p.valid):>7}")

@@ -36,15 +36,6 @@ def _s(raw):
     return raw.strip()
 
 
-def _b(raw):
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _floats(raw):
     raw = raw.strip()
     if not raw:
@@ -52,9 +43,7 @@ def _floats(raw):
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
-# section -> key -> (parser, default); REQUIRED means no default
-REQUIRED = object()
-
+# section -> key -> (parser, default)
 _SCHEMA = {
     "system": {
         "mu": (_f, mu_cs2),
@@ -127,7 +116,6 @@ _SCHEMA = {
     },
     "run": {
         "label": (_s, "run"),
-        "seed": (_i, 0),
     },
 }
 
@@ -170,10 +158,7 @@ class RunConfig:
         for sec, keys in _SCHEMA.items():
             values.setdefault(sec, {})
             for key, (_, default) in keys.items():
-                if key not in values[sec]:
-                    if default is REQUIRED:
-                        raise ConfigError(f"missing required key {sec}.{key}")
-                    values[sec][key] = default
+                values[sec].setdefault(key, default)
         cfg = cls(values=values, text=text)
         cfg._validate()
         return cfg
@@ -291,7 +276,8 @@ class RunConfig:
             state = TwoChannelState(grid, amp, np.zeros_like(amp), t0)
             return state, {"kind": kind, "e_g": None, "de_dn": None}
         if kind == "level":
-            levels = solve_levels(sys.ground, grid).bound()
+            levels = solve_levels(sys.ground, grid,
+                                  window=(-np.inf, sys.ground.asymptote))
             if iv["v"] >= levels.n_levels:
                 raise ConfigError(
                     f"initial.v = {iv['v']} but only {levels.n_levels} "

@@ -57,7 +57,6 @@ class ImpulsivePrediction:
     e_g: float                    # hartree, energy of the initial state
     psi_g: np.ndarray             # complex ground-channel amplitude
     psi_e_density: np.ndarray
-    peaks: list[PredictedPeak]
 
     @property
     def t_ps(self) -> float:
@@ -84,7 +83,8 @@ def evolve_impulsive(sys: CoupledSystem, grid: RadialGrid,
 
     psi0 must be a stationary state of the bare ground channel with
     energy e_g (hartree); its phase evolution enters only as the global
-    factor exp(-i e_g t).
+    factor exp(-i e_g t). The momentum features do not depend on t, so
+    the result carries none: call ``predict_k_peaks`` once per psi0.
     """
     if f is None:
         f = sys.envelope.flat_value
@@ -93,9 +93,8 @@ def evolve_impulsive(sys: CoupledSystem, grid: RadialGrid,
     psi_g = np.exp(-1j * e_g * t) * np.exp(-1j * delta * t) * rot * psi0
     sin_th2 = 1.0 - cos_th**2
     psi_e_density = sin_th2 * np.sin(omega * t) ** 2 * np.abs(psi0) ** 2
-    peaks = predict_k_peaks(sys, grid, psi0, f=f)
     return ImpulsivePrediction(grid=grid, t=t, e_g=e_g, psi_g=psi_g,
-                               psi_e_density=psi_e_density, peaks=peaks)
+                               psi_e_density=psi_e_density)
 
 
 def decompose_impulsive(sys: CoupledSystem, grid: RadialGrid,
@@ -122,9 +121,9 @@ def decompose_impulsive(sys: CoupledSystem, grid: RadialGrid,
     return psi_1, psi_2
 
 
-def _envelope_maxima(grid: RadialGrid, psi0: np.ndarray,
+def _envelope_maxima(grid: RadialGrid, psi0: np.ndarray, env: np.ndarray,
                      smooth_width: float) -> list[int]:
-    env = np.sqrt(_smooth_density(grid, psi0, smooth_width))
+    """Grid indices of the maxima of env, the smoothed envelope of psi0."""
     inner = np.arange(1, grid.n - 1)
     is_max = (env[inner] > env[inner - 1]) & (env[inner] >= env[inner + 1])
     is_max &= env[inner] > 1e-6 * env.max()
@@ -160,7 +159,7 @@ def predict_k_peaks(sys: CoupledSystem, grid: RadialGrid, psi0: np.ndarray,
     w = sys.coupling * f
     env = np.sqrt(_smooth_density(grid, psi0, smooth_width))
     peaks = []
-    for i in _envelope_maxima(grid, psi0, smooth_width):
+    for i in _envelope_maxima(grid, psi0, env, smooth_width):
         # parabolic refinement of the maximum position
         r3 = grid.r[i - 1:i + 2]
         e3 = env[i - 1:i + 2]

@@ -174,12 +174,13 @@ class HoleReport:
 
 def _smooth_density(grid: RadialGrid, amp: np.ndarray,
                     width: float) -> np.ndarray:
-    """Gaussian kernel average of |amp|^2, correct on nonuniform grids."""
+    """Gaussian kernel average of |amp|^2, correct on nonuniform grids;
+    each column of a 2-D amp is smoothed with the same kernel."""
     rho = np.abs(amp) ** 2
     dr = grid.r[:, None] - grid.r[None, :]
     kern = np.exp(-0.5 * (dr / width) ** 2)
     wk = kern * grid.w[None, :]
-    return (wk @ rho) / np.sum(wk, axis=1)
+    return ((wk @ rho).T / np.sum(wk, axis=1)).T
 
 
 def detect_hole(grid: RadialGrid, amp_before: np.ndarray,
@@ -196,8 +197,8 @@ def detect_hole(grid: RadialGrid, amp_before: np.ndarray,
     """
     if not 0.0 < threshold < 1.0:
         raise DomainError("threshold must sit strictly inside (0, 1)")
-    rho_i = _smooth_density(grid, amp_before, smooth_width)
-    rho_f = _smooth_density(grid, amp_after, smooth_width)
+    rho_i, rho_f = _smooth_density(
+        grid, np.column_stack([amp_before, amp_after]), smooth_width).T
     support = rho_i > support_floor * rho_i.max()
     ratio = np.ones_like(rho_i)
     ratio[support] = rho_f[support] / rho_i[support]

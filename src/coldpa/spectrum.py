@@ -27,11 +27,12 @@ def hamiltonian_matrix(curve, grid: RadialGrid) -> np.ndarray:
 
 
 def _phi_to_psi(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
-    # eigh returns sum(phi^2) = 1; physical normalization is sum w |psi|^2 = 1
-    psi = phi / np.sqrt(grid.dx)
+    # in place: eigh returns sum(phi^2) = 1; physical normalization is
+    # sum w |psi|^2 = 1
+    phi /= np.sqrt(grid.dx)
     if grid.jac is not None:
-        psi = psi / np.sqrt(grid.jac)[:, None]
-    return psi
+        phi /= np.sqrt(grid.jac)[:, None]
+    return phi
 
 
 def count_nodes(amp: np.ndarray, floor: float = 1e-8) -> int:
@@ -73,8 +74,13 @@ class LevelSet:
 def solve_levels(curve, grid: RadialGrid, window=None,
                  verify_resolution: bool = False,
                  drift_tol: float = 1e-6) -> LevelSet:
-    """Eigenpairs of T + V on the grid, optionally restricted to an
-    energy window (hartree).
+    """Eigenpairs of T + V on the grid from one ``eigh`` call, optionally
+    restricted to the energy window (lo, hi] (hartree).
+
+    Without a window the full spectrum is returned. With one, ``eigh``
+    solves only up to hi, the levels at or below lo are dropped, and
+    ``first_index`` counts them; lo may be ``-inf``, so
+    ``window=(-np.inf, asymptote)`` gives the bound levels alone.
 
     Parameters
     ----------
@@ -92,9 +98,9 @@ def solve_levels(curve, grid: RadialGrid, window=None,
         lo, hi = window
         if not lo < hi:
             raise DomainError(f"bad energy window [{lo}, {hi}]")
-        evals, phi = eigh(h, subset_by_value=(lo, hi))
-        below = eigh(h, eigvals_only=True, subset_by_value=(-np.inf, lo))
-        first = len(below)
+        evals, phi = eigh(h, subset_by_value=(-np.inf, hi))
+        first = int(np.searchsorted(evals, lo, side="right"))
+        evals, phi = evals[first:], phi[:, first:]
     else:
         evals, phi = eigh(h)
         first = 0
@@ -158,14 +164,15 @@ class ContinuumRef:
 
 
 def continuum_state(curve, grid: RadialGrid, e_target: float) -> ContinuumRef:
-    """Box eigenstate nearest e_target above the channel asymptote.
+    """Box eigenstate nearest e_target above the channel asymptote, picked
+    from the full spectrum of ``solve_levels``.
 
     e_target is measured absolutely (same origin as the curve). dE/dn is
-    the centered difference over the neighboring box levels.
+    the centered difference over the neighboring box levels. The state is
+    a copy of its column, so the reference holds no n x n block.
     """
-    h = hamiltonian_matrix(curve, grid)
-    evals, phi = eigh(h)
-    asym = float(curve.asymptote) if hasattr(curve, "asymptote") else 0.0
+    levels = solve_levels(curve, grid)
+    evals, asym = levels.energies, levels.asymptote
     above = np.nonzero(evals > asym)[0]
     if len(above) < 3:
         raise ResolutionError(
@@ -175,10 +182,10 @@ def continuum_state(curve, grid: RadialGrid, e_target: float) -> ContinuumRef:
     if j == 0 or j == len(evals) - 1:
         raise ResolutionError("target level sits at the spectrum edge")
     de_dn = 0.5 * (evals[j + 1] - evals[j - 1])
-    psi = _phi_to_psi(grid, phi[:, [j]])[:, 0]
     return ContinuumRef(
         energy=float(evals[j]), e_above=float(evals[j] - asym),
-        index=int(j + 1), de_dn=float(de_dn), state=psi, grid=grid,
+        index=int(j + 1), de_dn=float(de_dn),
+        state=levels.states[:, j].copy(), grid=grid,
     )
 
 

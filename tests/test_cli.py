@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from coldpa.cli import main
-from coldpa.io import load_state, read_csv, read_json
+from coldpa.config import RunConfig
+from coldpa.impulsive import predict_k_peaks
+from coldpa.io import load_state, peaks_to_json, read_csv, read_json
 from coldpa.grids import build_uniform
 from coldpa.units import mu_cs2
 
@@ -138,6 +140,12 @@ def test_impulsive_writes_predictions(tmp_path):
     for p in peaks:
         assert p["k"] < 0.0
         assert p["t_match"] is None or p["t_match"] > 0.0
+    # one prediction from the initial state, whatever the times asked
+    rc = RunConfig.load(cfg)
+    system = rc.build_system()
+    grid = rc.build_grid(system)
+    state, _ = rc.build_initial(system, grid)
+    assert peaks == peaks_to_json(predict_k_peaks(system, grid, state.g))
 
 
 def test_impulsive_needs_stationary_initial(tmp_path, capsys):

@@ -31,6 +31,8 @@ def test_unknown_section_rejected():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="grid.points"):
         RunConfig.parse(MINIMAL + "[grid]\npoints = 12\n")
+    with pytest.raises(ConfigError, match="run.seed"):
+        RunConfig.parse(MINIMAL + "[run]\nseed = 0\n")
 
 
 def test_bad_value_names_its_path():

@@ -6,9 +6,8 @@ import pytest
 
 from coldpa.errors import DomainError
 from coldpa.grids import build_uniform, gaussian, normalize
-from coldpa.impulsive import (ImpulsivePrediction, PredictedPeak,
-                              decompose_impulsive, evolve_impulsive,
-                              predict_k_peaks)
+from coldpa.impulsive import (ImpulsivePrediction, decompose_impulsive,
+                              evolve_impulsive, predict_k_peaks)
 from coldpa.potentials import (CoupledSystem, PotentialCurve, PulseEnvelope,
                                reference_system)
 from coldpa.units import convert, ps2au
@@ -198,4 +197,3 @@ def test_prediction_momentum_spectrum(analog, box):
     assert spec.norm_sq() == pytest.approx(
         float(np.sum(np.abs(pred.psi_g) ** 2 * box.w)), rel=1e-6)
     assert isinstance(pred, ImpulsivePrediction)
-    assert all(isinstance(p, PredictedPeak) for p in pred.peaks)

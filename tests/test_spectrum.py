@@ -69,10 +69,21 @@ def test_levels_orthonormal_under_quadrature():
 def test_energy_window_subset():
     g = build_uniform(1.5, 30.0, 512, MU)
     full = solve_levels(_morse, g)
-    win = solve_levels(_morse, g, window=(-0.007, -0.001))
-    keep = (full.energies > -0.007) & (full.energies < -0.001)
-    np.testing.assert_allclose(win.energies, full.energies[keep], rtol=1e-12)
-    assert win.first_index == int(np.nonzero(keep)[0][0])
+    # an open lower end keeps every level up to hi
+    for lo, hi in ((-0.007, -0.001), (-np.inf, -0.001)):
+        win = solve_levels(_morse, g, window=(lo, hi))
+        keep = (full.energies > lo) & (full.energies < hi)
+        np.testing.assert_allclose(win.energies, full.energies[keep],
+                                   rtol=1e-12)
+        assert win.first_index == int(np.nonzero(keep)[0][0])
+    # the bound window holds the bound levels, states equal up to sign
+    bound = full.bound()
+    win = solve_levels(_morse, g, window=(-np.inf, _morse.asymptote))
+    np.testing.assert_allclose(win.energies, bound.energies, rtol=1e-12)
+    assert win.first_index == 0
+    for v in range(bound.n_levels):
+        a, b = win.state(v), bound.state(v)
+        np.testing.assert_allclose(a * np.sign(a @ b), b, atol=1e-10)
     with pytest.raises(DomainError):
         solve_levels(_morse, g, window=(1.0, -1.0))
 
@@ -113,6 +124,12 @@ def test_continuum_above_a_well():
     assert ref.e_above > 0
     assert ref.energy == pytest.approx(0.001, abs=ref.de_dn)
     assert ref.de_dn > 0
+    # the state is the matching column of the full spectrum, held alone
+    full = solve_levels(_morse, g)
+    j = ref.index - 1
+    assert ref.energy == full.energies[j]
+    np.testing.assert_array_equal(ref.state, full.state(j))
+    assert ref.state.base is None
 
 
 def test_continuum_edge_errors():

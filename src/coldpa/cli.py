@@ -21,8 +21,7 @@ from .errors import (ColdpaError, ConfigError, DimensionError, DomainError,
                      GridMismatchError)
 from .grids import TwoChannelState, to_momentum
 from .impulsive import evolve_impulsive, predict_k_peaks
-from .observables import (bound_fraction, continuum_fraction, detect_hole,
-                          find_momentum_peaks, level_populations,
+from .observables import (detect_hole, find_momentum_peaks, level_populations,
                           radius_from_momentum, thermal_yield)
 from .potentials import find_crossing, rabi_period
 from .propagation import propagate
@@ -169,9 +168,10 @@ def cmd_analyze(args, cfg: RunConfig):
         pops = level_populations(grid, amp, lv)
         for v, p in enumerate(pops):
             rows.append((ch, v, float(lv.energies[v]), p))
-        report[f"bound_fraction_{ch}"] = bound_fraction(grid, amp, lv)
-        report[f"continuum_fraction_{ch}"] = continuum_fraction(
-            grid, amp, lv)
+        # lv holds only bound levels, so pops is the bound projection
+        bound = float(np.sum(pops))
+        report[f"bound_fraction_{ch}"] = bound
+        report[f"continuum_fraction_{ch}"] = report["populations"][ch] - bound
     io.write_csv(os.path.join(out, "level_populations.csv"),
                  ["channel", "v", "energy_hartree", "population"], rows)
 

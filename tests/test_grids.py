@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from coldpa.errors import (DomainError, GridCapacityError, GridMismatchError,
                            RangeError)
@@ -11,6 +12,7 @@ from coldpa.grids import (MomentumSpectrum, RadialGrid, TwoChannelState,
                           from_momentum, gaussian, inner, kinetic_matrix,
                           normalize, same_grid, to_momentum)
 from coldpa.potentials import reference_system
+from coldpa.spectrum import _refined
 from coldpa.units import ps2au
 
 MU = 2000.0
@@ -134,6 +136,35 @@ def test_kinetic_matrix_symmetric_psd():
     assert asym < 1e-12
     evals = np.linalg.eigvalsh(kinetic_matrix(g))
     assert evals[0] > -1e-12 * evals[-1]
+
+
+@pytest.mark.parametrize("refine", [False, True])     # n = 120 and 241
+def test_kinetic_matrix_closed_form_matches_transforms(refine):
+    g = _adaptive(n=120)
+    if refine:
+        g = _refined(g)
+    t = apply_kinetic_phi(g, np.eye(g.n))
+    ref = 0.5 * (t + t.T)
+    tk = kinetic_matrix(g)
+    np.testing.assert_allclose(tk, ref, rtol=0,
+                               atol=1e-12 * np.max(np.abs(ref)))
+    assert np.array_equal(tk, tk.T)
+    evals = np.linalg.eigvalsh(tk)
+    assert evals[0] > -1e-12 * evals[-1]
+
+
+def test_kinetic_matrix_uniform_keeps_transform_assembly():
+    g = build_uniform(2.0, 12.0, 99, MU)
+    t = apply_kinetic_phi(g, np.eye(g.n))
+    assert np.array_equal(kinetic_matrix(g), 0.5 * (t + t.T))
+
+
+def test_kinetic_ceiling_covers_mapped_spectrum():
+    # the propagator's bounds take k_max^2 / 2 mu as the kinetic ceiling
+    g = build_grid(reference_system(), 1400, 2.0, 200.0, kind="adaptive")
+    top = eigh(kinetic_matrix(g), eigvals_only=True,
+               subset_by_index=(g.n - 1, g.n - 1))[0]
+    assert g.k_max**2 / (2.0 * g.mu) >= top
 
 
 def test_kinetic_columns_match_single_vectors():

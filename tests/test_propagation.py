@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from coldpa.errors import (DomainError, GridMismatchError,
                            SpectralBoundsError)
-from coldpa.grids import TwoChannelState, build_uniform, gaussian
+from coldpa.grids import TwoChannelState, build_grid, build_uniform, gaussian
 from coldpa.potentials import CoupledSystem, PotentialCurve, PulseEnvelope
 from coldpa.propagation import (PropagationPlan, TimeSeries, _Engine,
                                 propagate, spectral_bounds, step)
@@ -97,6 +97,23 @@ def test_bounds_contain_coupled_spectrum():
     assert e_lo < evals[0] and evals[-1] < e_hi
     # margin is real: bounds are strictly wider than the spectrum
     assert evals[0] - e_lo > 0.02 * (e_hi - e_lo)
+
+
+def test_bounds_contain_coupled_spectrum_on_mapped_grid():
+    sys_, _, _ = _offset_pair()
+    grid = build_grid(sys_, 120, 3.0, 12.0, kind="adaptive")
+    e_lo, e_hi, cap = spectral_bounds(sys_, grid)
+    n = grid.n
+    h = np.zeros((2 * n, 2 * n))
+    h[:n, :n] = hamiltonian_matrix(
+        lambda r: np.minimum(sys_.ground.value(r), cap), grid)
+    h[n:, n:] = hamiltonian_matrix(
+        lambda r: np.minimum(sys_.excited.value(r), cap), grid)
+    w = sys_.coupling * sys_.envelope.flat_value
+    h[:n, n:] = np.eye(n) * w
+    h[n:, :n] = np.eye(n) * w
+    evals = np.linalg.eigvalsh(h)
+    assert e_lo < evals[0] and evals[-1] < e_hi
 
 
 # --- single steps ---------------------------------------------------------------

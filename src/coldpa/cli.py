@@ -9,11 +9,13 @@ writers in io, so identical configs give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys as _sys
 
 import numpy as np
+from scipy import fft as sfft
 
 from . import io
 from .config import RunConfig
@@ -276,7 +278,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="INI run configuration")
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--threads", type=int, default=0,
-                        help="BLAS/FFT thread cap (0 = auto)")
+                        help="FFT worker threads of the kinetic step "
+                             "(0 = scipy's default of 1); BLAS threads "
+                             "follow the environment at start-up "
+                             "(OMP_NUM_THREADS, OPENBLAS_NUM_THREADS)")
     common.add_argument("--quiet", action="store_true")
 
     p = argparse.ArgumentParser(
@@ -306,27 +311,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _limit_threads(n: int):
-    if n <= 0:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(n)
-    except Exception:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _limit_threads(args.threads)
+    workers = (sfft.set_workers(args.threads) if args.threads > 0
+               else contextlib.nullcontext())
     try:
         try:
             cfg = RunConfig.load(args.config)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        return _HANDLERS[args.command](args, cfg)
+        with workers:
+            return _HANDLERS[args.command](args, cfg)
     except (ConfigError, DomainError, DimensionError,
             GridMismatchError) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=_sys.stderr)

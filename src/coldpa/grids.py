@@ -12,18 +12,22 @@ operator for J == 1 and a symmetric positive-semidefinite quadratic form
 for smooth J, with S, O the orthonormal type-I sine/cosine transforms and
 P zero-padding onto the N+2 cosine nodes (box edges included).
 
-Applied to vectors, T_phi runs as those four transforms. As a dense
-matrix it is the Gram product B^T B / (2 mu) of the (N+2) x N matrix
+It is the Gram product B^T B / (2 mu) of the (N+2) x N matrix
 B = diag(J_full^-1/2) O P k S diag(J^-1/2), and O P k S has a closed form
 from the sum F(p) = sum_k k sin(pi k p / (N+1)) = -((N+1)/2) (-1)^p
 cot(pi p / (2N+2)) (cf. the sine-DVR kinetic formula of Colbert & Miller,
-J. Chem. Phys. 96, 1982 (1992)). Uniform grids build their dense matrix
-from the transforms instead; see :func:`kinetic_matrix`.
+J. Chem. Phys. 96, 1982 (1992)). B and B^T are Toeplitz-plus-Hankel in
+that one table, so applied to vectors T_phi runs as two real-FFT linear
+convolutions against it, zero-padded to a 5-smooth length L >= 3n + 2
+(:attr:`RadialGrid.kinetic_fft_len`); as a dense matrix it is B^T B.
+Uniform grids apply the spectral operator by two sine transforms and
+build their dense matrix from them; see :func:`kinetic_matrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,8 +43,15 @@ def _dst1(x):
     return sfft.dst(x, type=1, norm="ortho", axis=0)
 
 
-def _dct1(x):
-    return sfft.dct(x, type=1, norm="ortho", axis=0)
+def _cot_sum(big: int, p: np.ndarray) -> np.ndarray:
+    """F(p) = sum_{k=1}^{N-1} k sin(pi k p / N) with N = big, in closed
+    form -(N/2) (-1)^p cot(pi p / 2N), and 0 for p = 0 mod 2N. F is odd
+    and 2N-periodic."""
+    f = np.zeros(len(p))
+    live = p % (2 * big) != 0
+    sign = np.where(p[live] % 2 == 0, 1.0, -1.0)
+    f[live] = -0.5 * big * sign / np.tan(0.5 * np.pi * p[live] / big)
+    return f
 
 
 @dataclass(frozen=True)
@@ -80,6 +91,28 @@ class RadialGrid:
     def k_max(self) -> float:
         """Peak representable local momentum pi / min(dr)."""
         return np.pi / float(np.min(self.dr_local))
+
+    @property
+    def kinetic_fft_len(self) -> int:
+        """FFT length of the kinetic step on vectors: 2(n+1) for the
+        sine transforms of a uniform grid, the 5-smooth convolution
+        length L >= 3n+2 on a mapped one."""
+        if self.jac is None:
+            return 2 * (self.n + 1)
+        return sfft.next_fast_len(3 * self.n + 2, real=True)
+
+    @cached_property
+    def _convolution(self):
+        """Mapped grids: (rfft of G(p) = -F(p) on p = -2n-1..n at the
+        length L, J^-1/2, J^-1, r_m^2 / 2 mu) for :func:`_mapped_gram`,
+        with r_m = (kappa / N) c_m J_full,m^-1/2, the row scale of B in
+        :func:`_mapped_derivative`. Built on first use, once per grid."""
+        n, big = self.n, self.n + 1
+        g = -_cot_sum(big, np.arange(-2 * n - 1, n + 1))
+        r = np.full(big + 1, self.kx[0] / big) / np.sqrt(self.jac_full)
+        r[[0, -1]] /= np.sqrt(2.0)
+        return (sfft.rfft(g, self.kinetic_fft_len), 1.0 / np.sqrt(self.jac),
+                1.0 / self.jac, r * r / (2.0 * self.mu))
 
 
 def build_uniform(r_lo: float, r_hi: float, n: int, mu: float) -> RadialGrid:
@@ -195,26 +228,53 @@ def build_grid(sys, n: int, r_lo: float, r_hi: float, kind: str = "uniform",
 
 # kinetic operator -----------------------------------------------------------
 
+def _mapped_gram(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
+    """D^T diag(1/J_full) D u / (2 mu) on mapped grids, with D of
+    :func:`_mapped_derivative`, so that T_phi x = J^-1/2 of this at
+    u = J^-1/2 x.
+
+    With N = n+1, c(s) = sum_j F(j - s) u_j for s = -N..N gives
+    (D u)_m = (kappa / N) c_m (c(m) + c(-m)), and e(t) = sum_m F(t - m) y_m
+    gives (D^T v)_j = e(j) - e(-j) for y_m = (kappa / N) c_m v_m. Both
+    are linear convolutions with F on p = -2n-1..n, done as one
+    rfft/irfft pair each at the length L of
+    :attr:`RadialGrid.kinetic_fft_len`; L >= 3n+2, so no kept output
+    wraps. Complex input runs as its real view, every column at once.
+    """
+    n = grid.n
+    spec, _, _, r2 = grid._convolution      # r2 = r^2 / 2 mu
+    size = grid.kinetic_fft_len
+    cplx = np.iscomplexobj(u)
+    x = u.reshape(n, -1)
+    if cplx:
+        x = np.ascontiguousarray(x).view(float)
+    c = sfft.irfft(sfft.rfft(x, size, axis=0) * spec[:, None], size,
+                   axis=0)[n - 1:3 * n + 2]        # c(s), s = -N..N
+    y = (c[n + 1:] + c[n + 1::-1]) * r2[:, None]
+    # the table holds G = -F: e(t) = -h[t + 2n + 1], z_j = e(j) - e(-j)
+    h = sfft.irfft(sfft.rfft(y, size, axis=0) * spec[:, None], size, axis=0)
+    z = h[2 * n:n:-1] - h[2 * n + 2:3 * n + 2]
+    return (z.view(complex) if cplx else z).reshape(u.shape)
+
+
 def apply_kinetic_phi(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
     """T acting on the transformed function phi = sqrt(J) psi.
 
-    Uniform grids: spectral sine-basis operator, exact for basis members.
-    Mapped grids: the similarity-transformed operator
-    J^{-1/2} d/dx (1/J) d/dx J^{-1/2}, evaluated spectrally (sine series
-    for the derivative of an interior function, cosine series across the
-    multiplication by 1/J, endpoints included). Symmetric PSD either way.
-    Accepts (n,) or (n, m) arrays (columns transformed independently).
+    Uniform grids: spectral sine-basis operator, exact for basis members,
+    applied by two DSTs. Mapped grids: the similarity-transformed operator
+    J^{-1/2} d/dx (1/J) d/dx J^{-1/2} as the Gram form B^T B / (2 mu),
+    applied by two FFT convolutions at the 5-smooth length
+    :attr:`RadialGrid.kinetic_fft_len` (:func:`_mapped_gram`). Symmetric
+    PSD either way. Accepts (n,) or (n, m) arrays, real or complex
+    (columns transformed independently).
     """
-    kx = grid.kx if phi.ndim == 1 else grid.kx[:, None]
     if grid.jac is None:
+        kx = grid.kx if phi.ndim == 1 else grid.kx[:, None]
         return _dst1(_dst1(phi) * kx * kx) / (2.0 * grid.mu)
-    rj = np.sqrt(grid.jac) if phi.ndim == 1 else np.sqrt(grid.jac)[:, None]
-    a = _dst1(phi / rj) * kx
-    pad = [(1, 1)] + [(0, 0)] * (phi.ndim - 1)
-    b = np.pad(a, pad)
-    jf = grid.jac_full if phi.ndim == 1 else grid.jac_full[:, None]
-    c = _dct1(_dct1(b) / jf)
-    return _dst1(c[1:-1] * kx) / rj / (2.0 * grid.mu)
+    _, rj, _, _ = grid._convolution         # J^-1/2
+    if phi.ndim > 1:
+        rj = rj[:, None]
+    return _mapped_gram(grid, phi * rj) * rj
 
 
 def apply_kinetic(grid: RadialGrid, amp: np.ndarray) -> np.ndarray:
@@ -225,8 +285,10 @@ def apply_kinetic(grid: RadialGrid, amp: np.ndarray) -> np.ndarray:
     """
     if grid.jac is None:
         return apply_kinetic_phi(grid, amp)
-    rj = np.sqrt(grid.jac) if amp.ndim == 1 else np.sqrt(grid.jac)[:, None]
-    return apply_kinetic_phi(grid, amp * rj) / rj
+    _, _, inv_j, _ = grid._convolution
+    if amp.ndim > 1:
+        inv_j = inv_j[:, None]
+    return _mapped_gram(grid, amp) * inv_j
 
 
 def _mapped_derivative(grid: RadialGrid) -> np.ndarray:
@@ -247,11 +309,7 @@ def _mapped_derivative(grid: RadialGrid) -> np.ndarray:
     """
     n = grid.n
     big = n + 1
-    p = np.arange(-big, 2 * big + 1)          # F(p) is f[p + big]
-    f = np.zeros(len(p))
-    live = p % (2 * big) != 0
-    sign = np.where(p[live] % 2 == 0, 1.0, -1.0)
-    f[live] = -0.5 * big * sign / np.tan(0.5 * np.pi * p[live] / big)
+    f = _cot_sum(big, np.arange(-big, 2 * big + 1))   # F(p) is f[p + big]
     # row m of F(j + m) starts at p = 1 + m, row m of F(j - m) at p = 1 - m
     win = sliding_window_view(f, n)
     b = win[big + 1:2 * big + 2] + win[big + 1:0:-1]

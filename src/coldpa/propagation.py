@@ -10,10 +10,12 @@ than silently aliased.
 Grids of up to 256 points take the dense path: the coupled Hamiltonian is
 one real 2n x 2n matrix and each Chebyshev term is one matmul on the real
 (2n, 2) [re, im] view of the state. Larger grids apply the kinetic energy
-by sine/cosine transforms. On the dense path a constant segment of more
-than n steps builds U(dt, f) = exp(-i H(f) dt) once, by running the same
-recurrence on the 2n identity columns, and then takes each step as one
-complex matvec; ramps never build one. Timed on 2 vCPUs, a build pays for
+by FFTs: two sine transforms on uniform grids, two convolutions at a
+5-smooth length on mapped ones (see :mod:`coldpa.grids`). On the dense
+path a constant segment of more than n steps builds U(dt, f) =
+exp(-i H(f) dt) once, by running the same recurrence on the 2n identity
+columns, and then takes each step as one complex matvec; ramps never
+build one. Timed on 2 vCPUs, a build pays for
 itself after 14-18 steps at n=64 and about 47 at n=256, whatever the
 order, so the cut at n leaves a margin of 3.5 or more; in flops alone
 (no per-term overhead, matmul as fast as matvec) the break-even is
@@ -109,6 +111,8 @@ class _Engine:
         self.w_peak = sys.coupling
         # dense kinetic matvec wins below a few hundred points
         self.h_dense = self._dense_hamiltonian() if grid.n <= 256 else None
+        self._diag = np.arange(2 * grid.n)
+        self._scaled, self._scaled_key = None, None
         self._coef_cache: dict[float, np.ndarray] = {}
         self.matvecs = 0
         self.max_order = 0
@@ -136,13 +140,21 @@ class _Engine:
         return out
 
     def _scaled_dense(self, w_eff: float) -> np.ndarray:
-        """(H(w_eff) - e_mid) / half_span as a real 2n x 2n matrix."""
+        """(H(w_eff) - e_mid) / half_span as a real 2n x 2n matrix.
+
+        One buffer per (e_mid, half_span): later calls overwrite only the
+        2n coupling entries, so the matrix returned is valid until the
+        next call.
+        """
+        key = (self.e_mid, self.half_span)
         inv = 1.0 / self.half_span
-        a = self.h_dense * inv
-        i = np.arange(len(a))
-        a[i, i] -= self.e_mid * inv
-        a[i, i ^ 1] = w_eff * inv      # couples the two channels of a node
-        return a
+        if self._scaled_key != key:
+            a = self.h_dense * inv
+            a[self._diag, self._diag] -= self.e_mid * inv
+            self._scaled, self._scaled_key = a, key
+        # couples the two channels of a node
+        self._scaled[self._diag, self._diag ^ 1] = w_eff * inv
+        return self._scaled
 
     def _coefficients(self, alpha: float) -> np.ndarray:
         coefs = self._coef_cache.get(alpha)
@@ -339,6 +351,9 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
         "matvecs": eng.matvecs, "max_order": eng.max_order,
         "propagator_builds": eng.propagator_builds,
         "cached_steps": cached_steps,
+        # 0: the dense path runs no FFT
+        "kinetic_fft_len": 0 if eng.h_dense is not None
+        else grid.kinetic_fft_len,
     }
     return TimeSeries(
         t=np.array(rec_t), pop_g=np.array(rec_g), pop_e=np.array(rec_e),

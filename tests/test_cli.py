@@ -3,7 +3,9 @@ import os
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
+from coldpa import cli
 from coldpa.cli import main
 from coldpa.config import RunConfig
 from coldpa.impulsive import predict_k_peaks
@@ -172,3 +174,14 @@ def test_error_exit_codes(tmp_path, capsys):
 
     assert main(["propagate", "--config", cfg]) == 2
     assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, workers", [([], 1), (["--threads", "2"], 2)])
+def test_threads_set_fft_workers_of_the_handler(tmp_path, monkeypatch,
+                                                flags, workers):
+    seen = []
+    monkeypatch.setitem(cli._HANDLERS, "times",
+                        lambda args, cfg: seen.append(sfft.get_workers()) or 0)
+    assert main(["times", "--config", _config(tmp_path, "")] + flags) == 0
+    assert seen == [workers]
+    assert sfft.get_workers() == 1

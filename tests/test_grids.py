@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 from scipy.linalg import eigh
 
 from coldpa.errors import (DomainError, GridCapacityError, GridMismatchError,
@@ -165,6 +166,54 @@ def test_kinetic_ceiling_covers_mapped_spectrum():
     top = eigh(kinetic_matrix(g), eigvals_only=True,
                subset_by_index=(g.n - 1, g.n - 1))[0]
     assert g.k_max**2 / (2.0 * g.mu) >= top
+
+
+def _four_transform_kinetic(g, phi):
+    """The mapped kinetic step written out as transforms: DST-I, pad onto
+    the cosine nodes, DCT-I, divide by J_full, DCT-I, DST-I."""
+    def dst(x):
+        return sfft.dst(x, type=1, norm="ortho", axis=0)
+
+    def dct(x):
+        return sfft.dct(x, type=1, norm="ortho", axis=0)
+
+    col = (slice(None),) + (None,) * (phi.ndim - 1)
+    kx, rj = g.kx[col], np.sqrt(g.jac)[col]
+    b = np.pad(dst(phi / rj) * kx, [(1, 1)] + [(0, 0)] * (phi.ndim - 1))
+    c = dct(dct(b) / g.jac_full[col])
+    return dst(c[1:-1] * kx) / rj / (2.0 * g.mu)
+
+
+@pytest.mark.parametrize("which", ["n120", "n241", "n1400"])
+def test_mapped_kinetic_matches_four_transform_oracle(which):
+    if which == "n1400":
+        g = build_grid(reference_system(), 1400, 2.0, 200.0, kind="adaptive")
+    else:
+        g = _adaptive(n=120)
+        if which == "n241":
+            g = _refined(g)
+    rng = np.random.default_rng(19)
+    block = (rng.standard_normal((g.n, 5))
+             + 1j * rng.standard_normal((g.n, 5)))
+    t = kinetic_matrix(g)
+    for x in (rng.standard_normal(g.n), block[:, 0], block[:, :3],
+              block[:, 1::2]):
+        out = apply_kinetic_phi(g, x)
+        assert out.shape == x.shape and out.dtype == x.dtype
+        tol = 1e-12 * np.max(np.abs(out))
+        np.testing.assert_allclose(out, _four_transform_kinetic(g, x),
+                                   rtol=0, atol=tol)
+        np.testing.assert_allclose(out, t @ x, rtol=0, atol=tol)
+
+
+def test_kinetic_fft_length_is_smooth_on_reference_grid():
+    g = build_grid(reference_system(), 1400, 2.0, 200.0, kind="adaptive")
+    size = g.kinetic_fft_len
+    assert size == 4320 >= 3 * g.n + 2
+    for p in (2, 3, 5):
+        while size % p == 0:
+            size //= p
+    assert size == 1
 
 
 def test_kinetic_columns_match_single_vectors():

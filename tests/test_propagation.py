@@ -290,3 +290,14 @@ def test_propagator_built_only_beyond_n_steps(n_steps, builds):
     assert len(ts.t) - 1 == n_steps
     assert ts.meta["propagator_builds"] == builds
     assert ts.meta["cached_steps"] == builds * n_steps
+
+
+def test_meta_reports_kinetic_fft_length():
+    sys_, grid, init = _offset_pair()
+    plan = PropagationPlan.from_ps(t_start=14.0, t_end=14.01, dt_flat=0.01)
+    assert propagate(sys_, grid, plan, init).meta["kinetic_fft_len"] == 0
+    for mapping, n, size in (("uniform", 300, 602), ("adaptive", 300, 960)):
+        g = build_grid(sys_, n, 3.0, 12.0, kind=mapping)
+        start = TwoChannelState(g, gaussian(g, 6.0, 0.44), np.zeros(g.n))
+        meta = propagate(sys_, g, plan, start).meta
+        assert meta["kinetic_fft_len"] == g.kinetic_fft_len == size

@@ -312,7 +312,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 0:
+        parser.error(f"argument --threads: must be 0 or more, "
+                     f"got {args.threads}")
     workers = (sfft.set_workers(args.threads) if args.threads > 0
                else contextlib.nullcontext())
     try:

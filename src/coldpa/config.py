@@ -11,6 +11,7 @@ on the way in.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,10 @@ from .units import convert, coupling_from_intensity, mu_cs2, ps2au
 
 
 def _f(raw):
-    return float(raw)
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError("not a finite number")
+    return v
 
 
 def _i(raw):
@@ -40,7 +44,7 @@ def _floats(raw):
     raw = raw.strip()
     if not raw:
         return ()
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    return tuple(_f(tok) for tok in raw.replace(",", " ").split())
 
 
 # section -> key -> (parser, default)
@@ -196,11 +200,6 @@ class RunConfig:
             raise ConfigError(
                 f"initial.kind must be continuum, gaussian or level, "
                 f"got {self['initial.kind']!r}"
-            )
-        exc = self.values["excited"]
-        if exc["c_n"] is None and exc["calibrate_rc"] is None:
-            raise ConfigError(
-                "excited: give c_n or a calibrate_rc target"
             )
 
     # ---- builders ----------------------------------------------------

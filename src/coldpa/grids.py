@@ -1,16 +1,19 @@
 """Radial grids: uniform sine-basis DVR and the adaptively mapped variant.
 
 Wavefunctions are stored as values psi(r_i) at the interior nodes of a box
-[r_lo, r_hi] together with quadrature weights w_i. Mapped grids place nodes
-uniformly in an auxiliary coordinate x in [0, 1]; the Jacobian J = dR/dx
-carries the local density. The kinetic operator acts on the transformed
-function phi = sqrt(J) psi, where it is the exact sine-basis spectral
-operator for J == 1 and a symmetric positive-semidefinite quadratic form
+[r_lo, r_hi] together with quadrature weights w_i. Nodes sit uniformly in
+an auxiliary coordinate x (x in [0, 1] on mapped grids, x = R - r_lo on
+uniform ones); the Jacobian J = dR/dx carries the local density and is
+identically 1 on a uniform grid. The kinetic operator acts on the
+transformed function phi = sqrt(J) psi as the symmetric
+positive-semidefinite quadratic form
 
     T_phi = (1/2 mu) S k [P^T O diag(1/J) O P] k S
 
-for smooth J, with S, O the orthonormal type-I sine/cosine transforms and
-P zero-padding onto the N+2 cosine nodes (box edges included).
+with S, O the orthonormal type-I sine/cosine transforms and P
+zero-padding onto the N+2 cosine nodes (box edges included). For J == 1
+the bracket is the identity and T_phi is the exact sine-basis spectral
+operator S k^2 S / (2 mu), so one code path serves every grid.
 
 It is the Gram product B^T B / (2 mu) of the (N+2) x N matrix
 B = diag(J_full^-1/2) O P k S diag(J^-1/2), and O P k S has a closed form
@@ -20,13 +23,11 @@ J. Chem. Phys. 96, 1982 (1992)). B and B^T are Toeplitz-plus-Hankel in
 that one table, so applied to vectors T_phi runs as two real-FFT linear
 convolutions against it, zero-padded to a 5-smooth length L >= 3n + 2
 (:attr:`RadialGrid.kinetic_fft_len`); as a dense matrix it is B^T B.
-Uniform grids apply the spectral operator by two sine transforms and
-build their dense matrix from them; see :func:`kinetic_matrix`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -37,10 +38,6 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 from .errors import (DomainError, GridCapacityError, GridMismatchError,
                      RangeError)
 from .units import ps2au
-
-
-def _dst1(x):
-    return sfft.dst(x, type=1, norm="ortho", axis=0)
 
 
 def _cot_sum(big: int, p: np.ndarray) -> np.ndarray:
@@ -66,7 +63,7 @@ class RadialGrid:
     kind: str                 # "uniform" | "adaptive"
     dx: float                 # step of the auxiliary coordinate
     kx: np.ndarray            # sine-mode wavenumbers in x
-    jac: np.ndarray | None = None        # dR/dx at nodes; None when uniform
+    jac: np.ndarray | None = None        # dR/dx at nodes; ones if not given
     jac_full: np.ndarray | None = None   # dR/dx at nodes plus both edges
 
     def __post_init__(self):
@@ -75,6 +72,9 @@ class RadialGrid:
         r = self.r
         if r[0] <= self.r_lo or r[-1] >= self.r_hi or np.any(np.diff(r) <= 0):
             raise DomainError("grid nodes must increase strictly inside the box")
+        if self.jac is None:
+            object.__setattr__(self, "jac", np.ones(self.n))
+            object.__setattr__(self, "jac_full", np.ones(self.n + 2))
 
     @property
     def n(self) -> int:
@@ -83,8 +83,6 @@ class RadialGrid:
     @property
     def dr_local(self) -> np.ndarray:
         """Local node spacing J * dx (constant on uniform grids)."""
-        if self.jac is None:
-            return np.full(self.n, self.dx)
         return self.jac * self.dx
 
     @property
@@ -94,18 +92,15 @@ class RadialGrid:
 
     @property
     def kinetic_fft_len(self) -> int:
-        """FFT length of the kinetic step on vectors: 2(n+1) for the
-        sine transforms of a uniform grid, the 5-smooth convolution
-        length L >= 3n+2 on a mapped one."""
-        if self.jac is None:
-            return 2 * (self.n + 1)
+        """FFT length of the kinetic step on vectors: the 5-smooth
+        convolution length L >= 3n+2."""
         return sfft.next_fast_len(3 * self.n + 2, real=True)
 
     @cached_property
     def _convolution(self):
-        """Mapped grids: (rfft of G(p) = -F(p) on p = -2n-1..n at the
-        length L, J^-1/2, J^-1, r_m^2 / 2 mu) for :func:`_mapped_gram`,
-        with r_m = (kappa / N) c_m J_full,m^-1/2, the row scale of B in
+        """(rfft of G(p) = -F(p) on p = -2n-1..n at the length L,
+        J^-1/2, J^-1, r_m^2 / 2 mu) for :func:`_mapped_gram`, with
+        r_m = (kappa / N) c_m J_full,m^-1/2, the row scale of B in
         :func:`_mapped_derivative`. Built on first use, once per grid."""
         n, big = self.n, self.n + 1
         g = -_cot_sum(big, np.arange(-2 * n - 1, n + 1))
@@ -229,9 +224,8 @@ def build_grid(sys, n: int, r_lo: float, r_hi: float, kind: str = "uniform",
 # kinetic operator -----------------------------------------------------------
 
 def _mapped_gram(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
-    """D^T diag(1/J_full) D u / (2 mu) on mapped grids, with D of
-    :func:`_mapped_derivative`, so that T_phi x = J^-1/2 of this at
-    u = J^-1/2 x.
+    """D^T diag(1/J_full) D u / (2 mu), with D of :func:`_mapped_derivative`,
+    so that T_phi x = J^-1/2 of this at u = J^-1/2 x.
 
     With N = n+1, c(s) = sum_j F(j - s) u_j for s = -N..N gives
     (D u)_m = (kappa / N) c_m (c(m) + c(-m)), and e(t) = sum_m F(t - m) y_m
@@ -260,17 +254,13 @@ def _mapped_gram(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
 def apply_kinetic_phi(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
     """T acting on the transformed function phi = sqrt(J) psi.
 
-    Uniform grids: spectral sine-basis operator, exact for basis members,
-    applied by two DSTs. Mapped grids: the similarity-transformed operator
-    J^{-1/2} d/dx (1/J) d/dx J^{-1/2} as the Gram form B^T B / (2 mu),
-    applied by two FFT convolutions at the 5-smooth length
-    :attr:`RadialGrid.kinetic_fft_len` (:func:`_mapped_gram`). Symmetric
-    PSD either way. Accepts (n,) or (n, m) arrays, real or complex
-    (columns transformed independently).
+    The similarity-transformed operator J^{-1/2} d/dx (1/J) d/dx J^{-1/2}
+    as the symmetric PSD Gram form B^T B / (2 mu), applied by two FFT
+    convolutions at the 5-smooth length :attr:`RadialGrid.kinetic_fft_len`
+    (:func:`_mapped_gram`). On a uniform grid (J == 1) it is the spectral
+    sine-basis operator, exact for basis members. Accepts (n,) or (n, m)
+    arrays, real or complex (columns transformed independently).
     """
-    if grid.jac is None:
-        kx = grid.kx if phi.ndim == 1 else grid.kx[:, None]
-        return _dst1(_dst1(phi) * kx * kx) / (2.0 * grid.mu)
     _, rj, _, _ = grid._convolution         # J^-1/2
     if phi.ndim > 1:
         rj = rj[:, None]
@@ -280,11 +270,9 @@ def apply_kinetic_phi(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
 def apply_kinetic(grid: RadialGrid, amp: np.ndarray) -> np.ndarray:
     """Kinetic operator on wavefunction values psi(r_i).
 
-    On mapped grids this composes to the exact similarity pair
-    (1/J) d/dx (1/J) d/dx of the physical second derivative.
+    It composes to the exact similarity pair (1/J) d/dx (1/J) d/dx of the
+    physical second derivative.
     """
-    if grid.jac is None:
-        return apply_kinetic_phi(grid, amp)
     _, _, inv_j, _ = grid._convolution
     if amp.ndim > 1:
         inv_j = inv_j[:, None]
@@ -323,22 +311,14 @@ def _mapped_derivative(grid: RadialGrid) -> np.ndarray:
 def kinetic_matrix(grid: RadialGrid) -> np.ndarray:
     """Dense kinetic matrix in the phi representation (plain symmetric).
 
-    Mapped grids: T = B^T B / (2 mu) with B from :func:`_mapped_derivative`,
-    so no n x n block is transformed; numpy hands ``b.T @ b`` to BLAS
-    syrk, which makes T symmetric to the bit. Uniform grids keep the
-    two-DST assembly of the identity, bit for bit: there a level 2.6e-5
-    hartree below threshold already differs by 7.6e-13 relative between
-    the subset and the full ``eigh``, which are held to agree to 1e-12,
-    so any other rounding of T may tip that check (one ordering of the
-    closed form gave 2.0e-12).
+    T = B^T B / (2 mu) with B from :func:`_mapped_derivative`, so no n x n
+    block is transformed; numpy hands ``b.T @ b`` to BLAS syrk, which
+    makes T symmetric to the bit.
     """
-    if grid.jac is not None:
-        b = _mapped_derivative(grid)
-        t = b.T @ b
-        t /= 2.0 * grid.mu
-        return t
-    t = apply_kinetic_phi(grid, np.eye(grid.n))
-    return 0.5 * (t + t.T)
+    b = _mapped_derivative(grid)
+    t = b.T @ b
+    t /= 2.0 * grid.mu
+    return t
 
 
 # momentum representation ----------------------------------------------------
@@ -391,7 +371,7 @@ def to_momentum(grid: RadialGrid, amp: np.ndarray,
     grids go through a C^2 resample onto an auxiliary uniform grid whose
     density oversamples k_max by ``oversample``.
     """
-    if grid.jac is None:
+    if grid.kind == "uniform":
         return _fft_momentum(amp.astype(complex), grid.r[0], grid.dx)
     r_aux = _aux_sampling(grid, oversample)
     vals = _edge_spline(grid, np.asarray(amp, dtype=complex))(r_aux)
@@ -403,10 +383,11 @@ def from_momentum(grid: RadialGrid, spec: MomentumSpectrum) -> np.ndarray:
     m = len(spec.k)
     dr = 2.0 * np.pi / (m * spec.dk)
     # uniform grids transformed without resampling; r0 was the first node
-    r0 = grid.r[0] if grid.jac is None else grid.r_lo
+    uniform = grid.kind == "uniform"
+    r0 = grid.r[0] if uniform else grid.r_lo
     shifted = np.fft.ifftshift(spec.amp * np.exp(1j * spec.k * r0))
     vals = np.fft.ifft(shifted) * np.sqrt(2.0 * np.pi) / dr
-    if grid.jac is None:
+    if uniform:
         return vals
     r_aux = grid.r_lo + dr * np.arange(m)
     re = CubicSpline(r_aux, vals.real)(grid.r)

@@ -10,16 +10,16 @@ than silently aliased.
 Grids of up to 256 points take the dense path: the coupled Hamiltonian is
 one real 2n x 2n matrix and each Chebyshev term is one matmul on the real
 (2n, 2) [re, im] view of the state. Larger grids apply the kinetic energy
-by FFTs: two sine transforms on uniform grids, two convolutions at a
-5-smooth length on mapped ones (see :mod:`coldpa.grids`). On the dense
-path a constant segment of more than n steps builds U(dt, f) =
-exp(-i H(f) dt) once, by running the same recurrence on the 2n identity
-columns, and then takes each step as one complex matvec; ramps never
-build one. Timed on 2 vCPUs, a build pays for
-itself after 14-18 steps at n=64 and about 47 at n=256, whatever the
-order, so the cut at n leaves a margin of 3.5 or more; in flops alone
-(no per-term overhead, matmul as fast as matvec) the break-even is
-n * order / (order - 2), within a few percent of n at the orders used.
+as two real-FFT convolutions at a 5-smooth length, uniform and mapped
+grids alike (see :mod:`coldpa.grids`). On the dense path a constant
+segment of more than n steps builds U(dt, f) = exp(-i H(f) dt) once, by
+running the same recurrence on the 2n identity columns, and then takes
+each step as one complex matvec; ramps never build one. Timed on 2
+vCPUs, a build pays for itself after 14-18 steps at n=64 and about 47 at
+n=256, whatever the order, so the cut at n leaves a margin of 3.5 or
+more; in flops alone (no per-term overhead, matmul as fast as matvec)
+the break-even is n * order / (order - 2), within a few percent of n at
+the orders used.
 
 Short-range repulsive walls can tower orders of magnitude above every
 energy the dynamics visits and would inflate the expansion order, so the
@@ -123,10 +123,8 @@ class _Engine:
         (index 2i ground, 2i+1 excited at node i), so that a C-ordered
         (n, 2) pair is a 2n vector without a copy."""
         grid = self.grid
-        t_phi = kinetic_matrix(grid)
-        if grid.jac is not None:
-            rj = np.sqrt(grid.jac)
-            t_phi = (t_phi * rj[None, :]) / rj[:, None]
+        rj = np.sqrt(grid.jac)
+        t_phi = (kinetic_matrix(grid) * rj[None, :]) / rj[:, None]
         h = np.zeros((2 * grid.n, 2 * grid.n))
         h[0::2, 0::2] = t_phi + np.diag(self.vg)
         h[1::2, 1::2] = t_phi + np.diag(self.ve)

@@ -30,8 +30,7 @@ def _phi_to_psi(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
     # in place: eigh returns sum(phi^2) = 1; physical normalization is
     # sum w |psi|^2 = 1
     phi /= np.sqrt(grid.dx)
-    if grid.jac is not None:
-        phi /= np.sqrt(grid.jac)[:, None]
+    phi /= np.sqrt(grid.jac)[:, None]
     return phi
 
 
@@ -132,9 +131,10 @@ def solve_levels(curve, grid: RadialGrid, window=None,
 
 
 def _refined(grid: RadialGrid) -> RadialGrid:
-    if grid.jac is None:
+    if grid.kind == "uniform":
         return build_uniform(grid.r_lo, grid.r_hi, 2 * grid.n, grid.mu)
-    # reuse the mapping profile: doubling n halves every local spacing
+    # reuse the mapping profile (x in [0, 1], so not for uniform grids):
+    # doubling n halves every local spacing
     jac_mid = 0.5 * (grid.jac_full[:-1] + grid.jac_full[1:])
     n2 = 2 * grid.n + 1
     dx2 = 1.0 / (n2 + 1)

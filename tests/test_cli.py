@@ -176,6 +176,15 @@ def test_error_exit_codes(tmp_path, capsys):
     assert "--out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-3", "two"])
+def test_threads_must_be_a_count(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(["times", "--config", _config(tmp_path, ""), "--threads", value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--threads" in err and value in err
+
+
 @pytest.mark.parametrize("flags, workers", [([], 1), (["--threads", "2"], 2)])
 def test_threads_set_fft_workers_of_the_handler(tmp_path, monkeypatch,
                                                 flags, workers):

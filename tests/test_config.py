@@ -40,6 +40,13 @@ def test_bad_value_names_its_path():
         RunConfig.parse(MINIMAL + "[grid]\nn = twelve\n")
     with pytest.raises(ConfigError, match="propagation.snapshots_ps"):
         RunConfig.parse(MINIMAL + "[propagation]\nsnapshots_ps = 1, x\n")
+    # float() accepts these spellings; no physical input is non-finite
+    for raw in ("nan", "inf", "-Infinity", "1e400"):
+        with pytest.raises(ConfigError,
+                           match="bad value for system.coupling_cm"):
+            RunConfig.parse(f"[system]\ncoupling_cm = {raw}\n")
+    with pytest.raises(ConfigError, match="bad value for analysis.detunings"):
+        RunConfig.parse(MINIMAL + "[analysis]\ndetunings_cm = 67.4, nan\n")
 
 
 def test_unparable_text_rejected():

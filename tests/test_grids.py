@@ -39,6 +39,9 @@ def test_uniform_nodes_and_weights():
     assert g.r[-1] == pytest.approx(12.0 - dr)
     np.testing.assert_allclose(g.w, dr)
     assert g.k_max == pytest.approx(np.pi / dr)
+    # a uniform grid is the mapped grid with J == 1
+    assert np.array_equal(g.jac, np.ones(99))
+    assert np.array_equal(g.jac_full, np.ones(g.n + 2))
 
 
 def test_uniform_rejects_bad_box():
@@ -139,11 +142,16 @@ def test_kinetic_matrix_symmetric_psd():
     assert evals[0] > -1e-12 * evals[-1]
 
 
-@pytest.mark.parametrize("refine", [False, True])     # n = 120 and 241
+# n = 120 adaptive, its refinement n = 241, and a uniform grid (J == 1)
+@pytest.mark.parametrize("refine", [False, True,
+                                    pytest.param(None, id="uniform")])
 def test_kinetic_matrix_closed_form_matches_transforms(refine):
-    g = _adaptive(n=120)
-    if refine:
-        g = _refined(g)
+    if refine is None:
+        g = build_uniform(2.0, 12.0, 99, MU)
+    else:
+        g = _adaptive(n=120)
+        if refine:
+            g = _refined(g)
     t = apply_kinetic_phi(g, np.eye(g.n))
     ref = 0.5 * (t + t.T)
     tk = kinetic_matrix(g)
@@ -152,12 +160,6 @@ def test_kinetic_matrix_closed_form_matches_transforms(refine):
     assert np.array_equal(tk, tk.T)
     evals = np.linalg.eigvalsh(tk)
     assert evals[0] > -1e-12 * evals[-1]
-
-
-def test_kinetic_matrix_uniform_keeps_transform_assembly():
-    g = build_uniform(2.0, 12.0, 99, MU)
-    t = apply_kinetic_phi(g, np.eye(g.n))
-    assert np.array_equal(kinetic_matrix(g), 0.5 * (t + t.T))
 
 
 def test_kinetic_ceiling_covers_mapped_spectrum():
@@ -170,7 +172,8 @@ def test_kinetic_ceiling_covers_mapped_spectrum():
 
 def _four_transform_kinetic(g, phi):
     """The mapped kinetic step written out as transforms: DST-I, pad onto
-    the cosine nodes, DCT-I, divide by J_full, DCT-I, DST-I."""
+    the cosine nodes, DCT-I, divide by J_full, DCT-I, DST-I. At J == 1 the
+    two DCT-I cancel and this is the sine-basis operator DST k^2 DST."""
     def dst(x):
         return sfft.dst(x, type=1, norm="ortho", axis=0)
 
@@ -184,10 +187,12 @@ def _four_transform_kinetic(g, phi):
     return dst(c[1:-1] * kx) / rj / (2.0 * g.mu)
 
 
-@pytest.mark.parametrize("which", ["n120", "n241", "n1400"])
+@pytest.mark.parametrize("which", ["n120", "n241", "n1400", "uniform"])
 def test_mapped_kinetic_matches_four_transform_oracle(which):
     if which == "n1400":
         g = build_grid(reference_system(), 1400, 2.0, 200.0, kind="adaptive")
+    elif which == "uniform":
+        g = build_uniform(2.0, 22.0, 300, MU)
     else:
         g = _adaptive(n=120)
         if which == "n241":

@@ -31,11 +31,6 @@ def _f(raw):
     return v
 
 
-def _i(raw):
-    v = int(raw)
-    return v
-
-
 def _s(raw):
     return raw.strip()
 
@@ -63,7 +58,7 @@ _SCHEMA = {
         "r_e": (_f, 12.0),
         "a": (_f, 0.35),
         "c_n": (_f, 6890.0),
-        "n": (_i, 6),
+        "n": (int, 6),
         "switch_radius": (_f, 16.0),
     },
     "excited": {
@@ -71,12 +66,12 @@ _SCHEMA = {
         "r_e": (_f, 10.0),
         "a": (_f, 0.45),
         "c_n": (_f, None),           # filled by calibration when absent
-        "n": (_i, 3),
+        "n": (int, 3),
         "switch_radius": (_f, 14.0),
         "calibrate_rc": (_f, 29.3),
     },
     "grid": {
-        "n": (_i, 512),
+        "n": (int, 512),
         "r_lo": (_f, 1.0),
         "r_hi": (_f, 200.0),
         "mapping": (_s, "adaptive"),
@@ -102,7 +97,7 @@ _SCHEMA = {
     "initial": {
         "kind": (_s, "continuum"),       # continuum | gaussian | level
         "energy_cm": (_f, 3.5e-5),       # above the ground asymptote
-        "v": (_i, 0),
+        "v": (int, 0),
         "r0": (_f, 50.0),
         "sigma": (_f, 5.0),
         "k0": (_f, 0.0),

@@ -100,14 +100,11 @@ class RadialGrid:
     def _convolution(self):
         """(rfft of G(p) = -F(p) on p = -2n-1..n at the length L,
         J^-1/2, J^-1, r_m^2 / 2 mu) for :func:`_mapped_gram`, with
-        r_m = (kappa / N) c_m J_full,m^-1/2, the row scale of B in
-        :func:`_mapped_derivative`. Built on first use, once per grid."""
+        r_m from :func:`_row_scale`. Built on first use, once per grid."""
         n, big = self.n, self.n + 1
         g = -_cot_sum(big, np.arange(-2 * n - 1, n + 1))
-        r = np.full(big + 1, self.kx[0] / big) / np.sqrt(self.jac_full)
-        r[[0, -1]] /= np.sqrt(2.0)
         return (sfft.rfft(g, self.kinetic_fft_len), 1.0 / np.sqrt(self.jac),
-                1.0 / self.jac, r * r / (2.0 * self.mu))
+                1.0 / self.jac, _row_scale(self) ** 2 / (2.0 * self.mu))
 
 
 def build_uniform(r_lo: float, r_hi: float, n: int, mu: float) -> RadialGrid:
@@ -279,6 +276,14 @@ def apply_kinetic(grid: RadialGrid, amp: np.ndarray) -> np.ndarray:
     return _mapped_gram(grid, amp) * inv_j
 
 
+def _row_scale(grid: RadialGrid) -> np.ndarray:
+    """Row scale r_m = (kappa / N) c_m J_full,m^-1/2 of B, m = 0..N."""
+    big = grid.n + 1
+    r = np.full(big + 1, grid.kx[0] / big) / np.sqrt(grid.jac_full)
+    r[[0, -1]] /= np.sqrt(2.0)
+    return r
+
+
 def _mapped_derivative(grid: RadialGrid) -> np.ndarray:
     """B = diag(J_full^-1/2) D diag(J^-1/2), shape (n+2, n), so that the
     mapped kinetic matrix is B^T B / (2 mu).
@@ -301,9 +306,7 @@ def _mapped_derivative(grid: RadialGrid) -> np.ndarray:
     # row m of F(j + m) starts at p = 1 + m, row m of F(j - m) at p = 1 - m
     win = sliding_window_view(f, n)
     b = win[big + 1:2 * big + 2] + win[big + 1:0:-1]
-    row = np.full(big + 1, grid.kx[0] / big) / np.sqrt(grid.jac_full)
-    row[[0, -1]] /= np.sqrt(2.0)
-    b *= row[:, None]
+    b *= _row_scale(grid)[:, None]
     b /= np.sqrt(grid.jac)
     return b
 

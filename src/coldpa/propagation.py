@@ -8,18 +8,14 @@ configurable margin; a runaway recurrence is detected and reported rather
 than silently aliased.
 
 Grids of up to 256 points take the dense path: the coupled Hamiltonian is
-one real 2n x 2n matrix and each Chebyshev term is one matmul on the real
-(2n, 2) [re, im] view of the state. Larger grids apply the kinetic energy
-as two real-FFT convolutions at a 5-smooth length, uniform and mapped
-grids alike (see :mod:`coldpa.grids`). On the dense path a constant
-segment of more than n steps builds U(dt, f) = exp(-i H(f) dt) once, by
-running the same recurrence on the 2n identity columns, and then takes
-each step as one complex matvec; ramps never build one. Timed on 2
-vCPUs, a build pays for itself after 14-18 steps at n=64 and about 47 at
-n=256, whatever the order, so the cut at n leaves a margin of 3.5 or
-more; in flops alone (no per-term overhead, matmul as fast as matvec)
-the break-even is n * order / (order - 2), within a few percent of n at
-the orders used.
+one real symmetric 2n x 2n matrix in the phi = sqrt(J) psi representation
+and each Chebyshev term is one matmul on the real (2n, 2) [re, im] view of
+the state. There a constant interval, whatever its step count, is
+propagated exactly from one eigendecomposition of H(f), whose eigenvectors
+are the dressed states (Kosloff, Annu. Rev. Phys. Chem. 45, 145 (1994)).
+Larger grids apply the kinetic energy as two real-FFT convolutions at a
+5-smooth length, uniform and mapped grids alike (see :mod:`coldpa.grids`),
+and take Chebyshev steps throughout.
 
 Short-range repulsive walls can tower orders of magnitude above every
 energy the dynamics visits and would inflate the expansion order, so the
@@ -37,8 +33,9 @@ from scipy.special import jv
 
 from .errors import DomainError, NumericsError, SpectralBoundsError
 from .grids import (RadialGrid, TwoChannelState, apply_kinetic,
-                    ensure_same_grid, kinetic_matrix)
+                    ensure_same_grid)
 from .potentials import CoupledSystem
+from .spectrum import hamiltonian_matrix
 from .units import ps2au
 
 
@@ -76,12 +73,8 @@ class PropagationPlan:
                    snapshots=tuple(t * ps2au for t in snapshots), **kw)
 
 
-def spectral_bounds(sys: CoupledSystem, grid: RadialGrid,
-                    v_cap: float = None, margin: float = 0.05):
-    """(e_lo, e_hi, cap): enclosing interval for the coupled Hamiltonian.
-
-    cap is the potential ceiling actually applied inside the propagator.
-    """
+def _capped_bounds(sys: CoupledSystem, grid: RadialGrid, v_cap, margin):
+    """:func:`spectral_bounds` plus the capped potentials vg, ve."""
     t_max = grid.k_max**2 / (2.0 * grid.mu)
     if v_cap is None:
         v_cap = max(sys.ground.asymptote, sys.excited.asymptote) + t_max
@@ -91,43 +84,48 @@ def spectral_bounds(sys: CoupledSystem, grid: RadialGrid,
     lo = float(min(vg.min(), ve.min())) - w
     hi = float(max(vg.max(), ve.max())) + w + t_max
     span = hi - lo
-    return lo - margin * span, hi + margin * span, v_cap
+    return lo - margin * span, hi + margin * span, v_cap, vg, ve
+
+
+def spectral_bounds(sys: CoupledSystem, grid: RadialGrid,
+                    v_cap: float = None, margin: float = 0.05):
+    """(e_lo, e_hi, cap): enclosing interval for the coupled Hamiltonian.
+
+    cap is the potential ceiling actually applied inside the propagator.
+    """
+    return _capped_bounds(sys, grid, v_cap, margin)[:3]
 
 
 class _Engine:
-    """Cached arrays and the Chebyshev kernel for one (sys, grid) pair."""
+    """Cached arrays and the propagation kernels for one (sys, grid) pair."""
 
     def __init__(self, sys: CoupledSystem, grid: RadialGrid,
                  tol: float, margin: float, v_cap: float = None):
-        self.sys = sys
         self.grid = grid
         self.tol = tol
-        e_lo, e_hi, cap = spectral_bounds(sys, grid, v_cap, margin)
-        self.e_lo, self.e_hi, self.cap = e_lo, e_hi, cap
-        self.e_mid = 0.5 * (e_hi + e_lo)
-        self.half_span = 0.5 * (e_hi - e_lo)
-        self.vg = np.minimum(sys.ground.value(grid.r), cap)
-        self.ve = np.minimum(sys.excited.value(grid.r), cap)
+        (self.e_lo, self.e_hi, self.cap,
+         self.vg, self.ve) = _capped_bounds(sys, grid, v_cap, margin)
+        self.e_mid = 0.5 * (self.e_hi + self.e_lo)
+        self.half_span = 0.5 * (self.e_hi - self.e_lo)
         self.w_peak = sys.coupling
         # dense kinetic matvec wins below a few hundred points
         self.h_dense = self._dense_hamiltonian() if grid.n <= 256 else None
+        self._rj = np.repeat(np.sqrt(grid.jac), 2)  # channels interleaved
         self._diag = np.arange(2 * grid.n)
         self._scaled, self._scaled_key = None, None
         self._coef_cache: dict[float, np.ndarray] = {}
         self.matvecs = 0
         self.max_order = 0
-        self.propagator_builds = 0
+        self.eigensolves = 0
+        self.eigen_orthogonality = 0.0
 
     def _dense_hamiltonian(self) -> np.ndarray:
-        """Uncoupled H as one real 2n x 2n matrix, channels interleaved
-        (index 2i ground, 2i+1 excited at node i), so that a C-ordered
-        (n, 2) pair is a 2n vector without a copy."""
-        grid = self.grid
-        rj = np.sqrt(grid.jac)
-        t_phi = (kinetic_matrix(grid) * rj[None, :]) / rj[:, None]
-        h = np.zeros((2 * grid.n, 2 * grid.n))
-        h[0::2, 0::2] = t_phi + np.diag(self.vg)
-        h[1::2, 1::2] = t_phi + np.diag(self.ve)
+        """Uncoupled phi-representation H as one real symmetric 2n x 2n
+        matrix, channels interleaved (2i ground, 2i+1 excited at node i),
+        so a C-ordered (n, 2) pair is a 2n vector without a copy."""
+        h = np.zeros((2 * self.grid.n,) * 2)
+        h[0::2, 0::2] = hamiltonian_matrix(self.vg, self.grid)
+        h[1::2, 1::2] = hamiltonian_matrix(self.ve, self.grid)
         return h
 
     def apply_h(self, pair: np.ndarray, w_eff: float) -> np.ndarray:
@@ -212,18 +210,37 @@ class _Engine:
                 return (self.apply_h(x, w_eff) - self.e_mid * x) * inv
 
             return self._series(apply_a, pair, dt)
-        pair = np.ascontiguousarray(pair, dtype=complex)
+        phi = np.ascontiguousarray(pair, dtype=complex).reshape(-1) * self._rj
         # real (2n, 2) [re, im] view: each term is one real matmul
         acc = self._series(self._scaled_dense(w_eff).__matmul__,
-                           pair.view(float).reshape(-1, 2), dt)
-        return (acc[:, 0] + 1j * acc[:, 1]).reshape(pair.shape)
+                           phi.view(float).reshape(-1, 2), dt)
+        return ((acc[:, 0] + 1j * acc[:, 1]) / self._rj).reshape(pair.shape)
 
-    def propagator(self, dt: float, f: float) -> np.ndarray:
-        """Dense exp(-i H(f) dt) as a complex 2n x 2n matrix: the
-        recurrence run on the 2n identity columns."""
-        self.propagator_builds += 1
-        return self._series(self._scaled_dense(self.w_peak * f).__matmul__,
-                            np.eye(len(self.h_dense)), dt)
+    def steps(self, pair: np.ndarray, dt: float, f_mid: np.ndarray,
+              const: bool):
+        """Yield the state after each step of an interval with envelope
+        values f_mid at the step midpoints: Chebyshev steps, except on a
+        constant interval of the dense path, which is exact from one
+        eigendecomposition H(f) = V diag(E) V^T, c = V^T phi, phi = V c."""
+        if not const or self.h_dense is None:
+            for f in f_mid:
+                pair = self.step(pair, dt, f)
+                yield pair
+            return
+        # the scaled matrix, so both paths propagate the same operator
+        lam, v = np.linalg.eigh(self._scaled_dense(self.w_peak * f_mid[0]))
+        self.eigensolves += 1
+        dev = float(np.abs(v.T @ v - np.eye(len(v))).max())
+        self.eigen_orthogonality = max(self.eigen_orthogonality, dev)
+        phase = np.exp(-1j * (self.e_mid + self.half_span * lam) * dt)
+        phi = np.ascontiguousarray(pair, dtype=complex).reshape(-1) * self._rj
+        c = (v.T @ phi.view(float).reshape(-1, 2)).view(complex)[:, 0]
+        v /= self._rj[:, None]              # so that V c is psi
+        for _ in f_mid:
+            c *= phase
+            # a C-ordered real (2n, 2) [re, im] array is a complex 2n vector
+            psi = (v @ c.view(float).reshape(-1, 2)).view(complex)
+            yield psi.reshape(pair.shape)
 
 
 def step(sys: CoupledSystem, grid: RadialGrid, state: TwoChannelState,
@@ -300,19 +317,14 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
     t = plan.t_start
 
     def pops(p):
-        pg, pe = grid.w @ (p.real ** 2 + p.imag ** 2)
-        return float(pg), float(pe)
+        return grid.w @ (p.real ** 2 + p.imag ** 2)
 
-    rec_t, rec_g, rec_e, rec_n = [t], [], [], []
-    pg, pe = pops(pair)
-    rec_g.append(pg); rec_e.append(pe); rec_n.append(math.sqrt(pg + pe))
+    rec_t, rec_p = [t], [pops(pair)]
     snaps = []
     want = set(float(x) for x in plan.snapshots)
     if t in want:
-        snaps.append(TwoChannelState(grid, pair[:, 0].copy(),
-                                     pair[:, 1].copy(), t))
+        snaps.append(TwoChannelState(grid, *pair.T.copy(), t))
 
-    cached_steps = 0
     knots = _knot_times(sys, plan)
     for ta, tb in zip(knots[:-1], knots[1:]):
         const = _segment_shape(sys, 0.5 * (ta + tb)) == "const"
@@ -324,36 +336,25 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
             f_mid = np.full(n_steps, sys.envelope.value(0.5 * (ta + tb)))
         else:
             f_mid = sys.envelope.value(ta + (np.arange(n_steps) + 0.5) * dt)
-        u = None
-        # measured break-even is well below n steps: module docstring
-        if const and eng.h_dense is not None and n_steps > grid.n:
-            u = eng.propagator(dt, f_mid[0])
-        for k in range(n_steps):
-            if u is not None:
-                pair = (u @ pair.reshape(-1)).reshape(pair.shape)
-                cached_steps += 1
-            else:
-                pair = eng.step(pair, dt, f_mid[k])
+        for pair in eng.steps(pair, dt, f_mid, const):
             t += dt
-            pg, pe = pops(pair)
-            rec_t.append(t); rec_g.append(pg); rec_e.append(pe)
-            rec_n.append(math.sqrt(pg + pe))
+            rec_t.append(t); rec_p.append(pops(pair))
         t = tb    # kill accumulated rounding at the knot
         rec_t[-1] = t
         if any(abs(t - s) < 1e-9 for s in want):
-            snaps.append(TwoChannelState(grid, pair[:, 0].copy(),
-                                         pair[:, 1].copy(), t))
+            snaps.append(TwoChannelState(grid, *pair.T.copy(), t))
 
     meta = {
         "e_lo": eng.e_lo, "e_hi": eng.e_hi, "v_cap": eng.cap,
         "matvecs": eng.matvecs, "max_order": eng.max_order,
-        "propagator_builds": eng.propagator_builds,
-        "cached_steps": cached_steps,
+        "eigensolves": eng.eigensolves,
+        "eigen_orthogonality": eng.eigen_orthogonality,
         # 0: the dense path runs no FFT
         "kinetic_fft_len": 0 if eng.h_dense is not None
         else grid.kinetic_fft_len,
     }
+    pg, pe = np.array(rec_p).T.copy()
     return TimeSeries(
-        t=np.array(rec_t), pop_g=np.array(rec_g), pop_e=np.array(rec_e),
-        norm=np.array(rec_n), snapshots=snaps, grid=grid, meta=meta,
+        t=np.array(rec_t), pop_g=pg, pop_e=pe, norm=np.sqrt(pg + pe),
+        snapshots=snaps, grid=grid, meta=meta,
     )

@@ -233,63 +233,73 @@ def test_runaway_recurrence_is_caught():
         eng.step(pair, 60.0 / eng.half_span, 1.0)
 
 
-# --- dense propagator on constant segments ----------------------------------------
+# --- exact propagation of constant intervals on the dense path ------------------
 
-def test_cached_propagator_matches_vector_recurrence():
-    sys_, grid, init = _offset_pair()
+@pytest.mark.parametrize("mapping, n, dt_ps", [("uniform", 64, 0.02),
+                                              ("adaptive", 120, 0.005)])
+def test_eigen_path_matches_chebyshev_kernels(mapping, n, dt_ps):
+    # dt is cut on the adaptive grid, whose larger spectral span would
+    # otherwise ask for order 362 per step
+    sys_, grid, _ = _offset_pair()
+    if mapping == "adaptive":
+        grid = build_grid(sys_, n, 3.0, 12.0, kind=mapping)
+    assert grid.kind == mapping and grid.n == n
+    pair = np.column_stack([gaussian(grid, 6.0, 0.44),
+                            np.zeros(grid.n)]).astype(complex)
     eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
-    dt = 0.02 * ps2au
-    u = eng.propagator(dt, 1.0)
-    assert u.shape == (2 * grid.n, 2 * grid.n)
-    assert eng.propagator_builds == 1
-    pair = np.column_stack([init.g, init.e]).astype(complex)
-    # one step: U product, dense recurrence and transform-kernel recurrence
     fft = _Engine(sys_, grid, tol=1e-14, margin=0.05)
     fft.h_dense = None
+    dt = dt_ps * ps2au
+    # one step: dense and transform-kernel recurrences
     ref = eng.step(pair, dt, 1.0)
-    np.testing.assert_allclose((u @ pair.reshape(-1)).reshape(pair.shape),
-                               ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(fft.step(pair, dt, 1.0), ref,
                                rtol=0, atol=1e-12)
-    cached = vector = pair
-    for _ in range(1000):
-        cached = (u @ cached.reshape(-1)).reshape(pair.shape)
-        vector = eng.step(vector, dt, 1.0)
-    np.testing.assert_allclose(cached, vector, rtol=0, atol=1e-10)
+    # the exact path against both recurrences after 200 steps, and
+    # against the dense one after 1000
+    exact = list(eng.steps(pair, dt, np.ones(1000), const=True))
+    assert eng.eigensolves == 1 and len(exact) == 1000
+    assert eng.eigen_orthogonality < 1e-12
+    dense = kernel = pair
+    for k in range(200):
+        dense = eng.step(dense, dt, 1.0)
+        kernel = fft.step(kernel, dt, 1.0)
+    np.testing.assert_allclose(exact[199], dense, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(exact[199], kernel, rtol=0, atol=1e-10)
+    for k in range(800):
+        dense = eng.step(dense, dt, 1.0)
+    np.testing.assert_allclose(exact[-1], dense, rtol=0, atol=1e-10)
 
 
-def test_ramp_only_plan_builds_no_propagator():
+def test_ramp_only_plan_does_no_eigensolve():
     sys_, grid, init = _offset_pair()
     plan = PropagationPlan.from_ps(t_start=0.0, t_end=2.0, dt_ramp=0.004)
     ts = propagate(sys_, grid, plan, init)
-    assert len(ts.t) - 1 == 500 > 2 * grid.n
-    assert ts.meta["propagator_builds"] == 0
-    assert ts.meta["cached_steps"] == 0
+    assert len(ts.t) - 1 == 500
+    assert ts.meta["eigensolves"] == 0
+    assert ts.meta["matvecs"] == 500 * ts.meta["max_order"]
 
 
-def test_flat_top_and_dark_tail_build_one_propagator_each():
+def test_flat_top_and_dark_tail_do_one_eigensolve_each():
     sys_, grid, init = _offset_pair()
     plan = PropagationPlan.from_ps(t_start=0.0, t_end=15.0, dt_ramp=0.005,
                                    dt_flat=0.005)
     ts = propagate(sys_, grid, plan, init)
     meta = ts.meta
-    assert meta["propagator_builds"] == 2
-    assert meta["cached_steps"] == 2000 + 200
-    # one matvec per Chebyshev term: 800 ramp steps plus the two builds
-    assert meta["matvecs"] == (800 + 2) * meta["max_order"]
+    assert len(ts.t) - 1 == 800 + 2000 + 200
+    assert meta["eigensolves"] == 2
+    # one matvec per Chebyshev term, on the 800 ramp steps only
+    assert meta["matvecs"] == 800 * meta["max_order"]
+    assert meta["eigen_orthogonality"] < 1e-12
     assert ts.norm_drift() < 1e-10
 
 
-@pytest.mark.parametrize("n_steps, builds", [(64, 0), (65, 1)])
-def test_propagator_built_only_beyond_n_steps(n_steps, builds):
+def test_single_step_constant_interval_is_exact_too():
     sys_, grid, init = _offset_pair()
-    assert grid.n == 64
-    plan = PropagationPlan.from_ps(t_start=14.0, t_end=15.0,
-                                   dt_flat=1.0 / n_steps)
+    plan = PropagationPlan.from_ps(t_start=14.0, t_end=15.0, dt_flat=1.0)
     ts = propagate(sys_, grid, plan, init)
-    assert len(ts.t) - 1 == n_steps
-    assert ts.meta["propagator_builds"] == builds
-    assert ts.meta["cached_steps"] == builds * n_steps
+    assert len(ts.t) - 1 == 1
+    assert ts.meta["eigensolves"] == 1
+    assert ts.meta["matvecs"] == 0
 
 
 def test_meta_reports_kinetic_fft_length():

@@ -130,9 +130,11 @@ def cmd_propagate(args, cfg: RunConfig):
     series = propagate(system, grid, plan, state)
     io.save_grid(os.path.join(out, "grid.csv"), grid)
     io.save_timeseries(out, series)
-    io.write_manifest(out, "propagate", cfg.text, extra={"initial": info})
+    io.write_manifest(out, "propagate", cfg.text,
+                      extra={"initial": info, "propagation": series.meta})
     _say(args, f"steps: {len(series.t) - 1}, "
-               f"matvecs: {series.meta['matvecs']}")
+               f"matvecs: {series.meta['matvecs']}, "
+               f"max order: {series.meta['max_order']}")
     _say(args, f"final populations: g = {series.pop_g[-1]:.6e}, "
                f"e = {series.pop_e[-1]:.6e}")
     _say(args, f"norm drift: {series.norm_drift():.3e}")

@@ -2,17 +2,23 @@
 
 The pulse envelope is frozen at the midpoint of every step, which is exact
 on constant segments and second-order accurate on ramps; ramp segments get
-their own (smaller) step size. Spectral bounds enclose both channel
-potentials, the peak coupling, and the grid's kinetic capacity, padded by a
+their own (smaller) step size. The spectral bounds, which set the
+expansion order (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), are
+measured once per run on the operator the propagator applies: the top is
+the largest eigenvalue of the capped coupled H at the peak envelope value,
+found by Lanczos, and the floor is min(V) - f_max W, rigorous since T is
+positive semi-definite (see :func:`spectral_bounds`). Both are padded by a
 configurable margin; a runaway recurrence is detected and reported rather
 than silently aliased.
 
-Grids of up to 256 points take the dense path: the coupled Hamiltonian is
-one real symmetric 2n x 2n matrix in the phi = sqrt(J) psi representation
-and each Chebyshev term is one matmul on the real (2n, 2) [re, im] view of
-the state. There a constant interval, whatever its step count, is
-propagated exactly from one eigendecomposition of H(f), whose eigenvectors
-are the dressed states (Kosloff, Annu. Rev. Phys. Chem. 45, 145 (1994)).
+One recurrence serves every grid, in real arithmetic: H is real, so each
+Chebyshev term acts on the real view of the state. Grids of up to 256
+points take the dense path: the coupled Hamiltonian is one real symmetric
+2n x 2n matrix in the phi = sqrt(J) psi representation and each term is
+one matmul on the (2n, 2) [re, im] view. There a constant interval,
+whatever its step count, is propagated exactly from one eigendecomposition
+of H(f), whose eigenvectors are the dressed states (Kosloff, Annu. Rev.
+Phys. Chem. 45, 145 (1994)).
 Larger grids apply the kinetic energy as two real-FFT convolutions at a
 5-smooth length, uniform and mapped grids alike (see :mod:`coldpa.grids`),
 and take Chebyshev steps throughout.
@@ -29,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import jv
 
 from .errors import DomainError, NumericsError, SpectralBoundsError
@@ -53,6 +60,14 @@ class PropagationPlan:
     snapshots: tuple[float, ...] = ()
 
     def __post_init__(self):
+        named = [(k, getattr(self, k)) for k in ("t_start", "t_end",
+                 "dt_ramp", "dt_flat", "cheb_tol", "spectral_margin")]
+        if self.v_cap is not None:
+            named.append(("v_cap", self.v_cap))
+        named += [("snapshots", t) for t in self.snapshots]
+        for name, value in named:
+            if not math.isfinite(value):
+                raise DomainError(f"plan {name} must be finite, got {value}")
         if not self.t_end > self.t_start:
             raise DomainError("plan needs t_end > t_start")
         if self.dt_ramp <= 0 or self.dt_flat <= 0:
@@ -73,27 +88,25 @@ class PropagationPlan:
                    snapshots=tuple(t * ps2au for t in snapshots), **kw)
 
 
-def _capped_bounds(sys: CoupledSystem, grid: RadialGrid, v_cap, margin):
-    """:func:`spectral_bounds` plus the capped potentials vg, ve."""
-    t_max = grid.k_max**2 / (2.0 * grid.mu)
-    if v_cap is None:
-        v_cap = max(sys.ground.asymptote, sys.excited.asymptote) + t_max
-    vg = np.minimum(sys.ground.value(grid.r), v_cap)
-    ve = np.minimum(sys.excited.value(grid.r), v_cap)
-    w = sys.coupling * sys.envelope.flat_value
-    lo = float(min(vg.min(), ve.min())) - w
-    hi = float(max(vg.max(), ve.max())) + w + t_max
-    span = hi - lo
-    return lo - margin * span, hi + margin * span, v_cap, vg, ve
-
-
 def spectral_bounds(sys: CoupledSystem, grid: RadialGrid,
                     v_cap: float = None, margin: float = 0.05):
-    """(e_lo, e_hi, cap): enclosing interval for the coupled Hamiltonian.
+    """(e_lo, e_hi, cap): the interval the propagator declares for the
+    coupled Hamiltonian H(f) at every envelope value 0 <= f <= f_max.
 
-    cap is the potential ceiling actually applied inside the propagator.
+    cap is the potential ceiling applied inside the propagator. The top
+    is lambda_max(H(f_max)), measured by Lanczos. It bounds every step:
+    lambda_max(H0 + f C) is a maximum of functions linear in f, so it is
+    convex in f, and it is even in f, since flipping the sign of the
+    excited channel maps H(f) to H(-f); so it grows with |f|. The floor
+    min(V) - f_max W is rigorous, since T is positive semi-definite. The
+    span between them is padded by ``margin`` on each side.
     """
-    return _capped_bounds(sys, grid, v_cap, margin)[:3]
+    eng = _Engine(sys, grid, 1e-14, margin, v_cap)
+    return eng.e_lo, eng.e_hi, eng.cap
+
+
+# sign of c_k = 2 J_k (-i)^k in its real (even k) or imaginary (odd k) part
+_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 class _Engine:
@@ -103,10 +116,12 @@ class _Engine:
                  tol: float, margin: float, v_cap: float = None):
         self.grid = grid
         self.tol = tol
-        (self.e_lo, self.e_hi, self.cap,
-         self.vg, self.ve) = _capped_bounds(sys, grid, v_cap, margin)
-        self.e_mid = 0.5 * (self.e_hi + self.e_lo)
-        self.half_span = 0.5 * (self.e_hi - self.e_lo)
+        if v_cap is None:
+            v_cap = (max(sys.ground.asymptote, sys.excited.asymptote)
+                     + grid.k_max**2 / (2.0 * grid.mu))
+        self.cap = v_cap
+        self.vg = np.minimum(sys.ground.value(grid.r), v_cap)
+        self.ve = np.minimum(sys.excited.value(grid.r), v_cap)
         self.w_peak = sys.coupling
         # dense kinetic matvec wins below a few hundred points
         self.h_dense = self._dense_hamiltonian() if grid.n <= 256 else None
@@ -114,6 +129,14 @@ class _Engine:
         self._diag = np.arange(2 * grid.n)
         self._scaled, self._scaled_key = None, None
         self._coef_cache: dict[float, np.ndarray] = {}
+        self.bound_matvecs = 0
+        w_max = sys.coupling * sys.envelope.flat_value
+        self.lambda_max = self._top(w_max)
+        lo = float(min(self.vg.min(), self.ve.min())) - w_max
+        pad = margin * (self.lambda_max - lo)
+        self.e_lo, self.e_hi = lo - pad, self.lambda_max + pad
+        self.e_mid = 0.5 * (self.e_hi + self.e_lo)
+        self.half_span = 0.5 * (self.e_hi - self.e_lo)
         self.matvecs = 0
         self.max_order = 0
         self.eigensolves = 0
@@ -128,22 +151,46 @@ class _Engine:
         h[1::2, 1::2] = hamiltonian_matrix(self.ve, self.grid)
         return h
 
-    def apply_h(self, pair: np.ndarray, w_eff: float) -> np.ndarray:
-        """H acting on stacked channels, pair shape (n, 2)."""
-        out = apply_kinetic(self.grid, pair)
-        out[:, 0] += self.vg * pair[:, 0] + w_eff * pair[:, 1]
-        out[:, 1] += self.ve * pair[:, 1] + w_eff * pair[:, 0]
+    def apply_h(self, x: np.ndarray, w_eff: float) -> np.ndarray:
+        """H acting on stacked channels: x of shape (n, 2m), the ground
+        channel in its first m columns and the excited one in the last m,
+        as in an (n, 2) pair or the (n, 4) real view of a complex one."""
+        m = x.shape[1] // 2
+        out = apply_kinetic(self.grid, x)
+        out[:, :m] += self.vg[:, None] * x[:, :m] + w_eff * x[:, m:]
+        out[:, m:] += self.ve[:, None] * x[:, m:] + w_eff * x[:, :m]
         return out
 
+    def _top(self, w: float) -> float:
+        """Largest eigenvalue of H at coupling w, by Lanczos (ARPACK) on
+        the symmetric phi representation: the dense matrix, or apply_h
+        conjugated by sqrt(J). Operator applications go to
+        bound_matvecs."""
+        n = self.grid.n
+        rj = self._rj.reshape(n, 2)
+
+        def matvec(x):
+            self.bound_matvecs += 1
+            x = x.reshape(n, 2)
+            if self.h_dense is not None:
+                return self.h_dense @ x.ravel() + w * x[:, ::-1].ravel()
+            return (rj * self.apply_h(x / rj, w)).ravel()
+
+        op = LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float)
+        v0 = np.random.default_rng(0).standard_normal(2 * n)
+        return float(eigsh(op, k=1, which="LA", v0=v0, tol=1e-6,
+                           return_eigenvectors=False)[0])
+
     def _scaled_dense(self, w_eff: float) -> np.ndarray:
-        """(H(w_eff) - e_mid) / half_span as a real 2n x 2n matrix.
+        """2 A = 2 (H(w_eff) - e_mid) / half_span as a real 2n x 2n
+        matrix; the factor 2 of the Chebyshev recurrence is folded in.
 
         One buffer per (e_mid, half_span): later calls overwrite only the
         2n coupling entries, so the matrix returned is valid until the
         next call.
         """
         key = (self.e_mid, self.half_span)
-        inv = 1.0 / self.half_span
+        inv = 2.0 / self.half_span
         if self._scaled_key != key:
             a = self.h_dense * inv
             a[self._diag, self._diag] -= self.e_mid * inv
@@ -153,68 +200,77 @@ class _Engine:
         return self._scaled
 
     def _coefficients(self, alpha: float) -> np.ndarray:
+        """Real b_k of the series c_k = 2 J_k(alpha) (-i)^k (c_0 halved):
+        c_k = b_k for even k and i b_k for odd k."""
         coefs = self._coef_cache.get(alpha)
         if coefs is not None:
             return coefs
         cap = int(10.0 * abs(alpha)) + 100
         raw = jv(np.arange(cap + 1), alpha)
         big = np.nonzero(np.abs(raw) >= 0.5 * self.tol)[0]
-        if len(big) == 0:
-            order = 0
-        else:
-            order = int(big[-1])
+        order = int(big[-1]) if len(big) else 0
         if order >= cap:
             raise NumericsError(
                 f"Chebyshev series not converged at order cap {cap}"
             )
-        coefs = raw[:order + 1] * (-1j) ** np.arange(order + 1)
+        coefs = raw[:order + 1] * _SIGNS[np.arange(order + 1) % 4]
         coefs[1:] *= 2.0
         self._coef_cache[alpha] = coefs
         return coefs
 
-    def _series(self, apply_a, v: np.ndarray, dt: float) -> np.ndarray:
-        """exp(-i H dt) v = e^{-i e_mid dt} sum_k c_k T_k(A) v, with
-        A = (H - e_mid) / half_span applied by apply_a.
+    def _series(self, x: np.ndarray, dt: float, w_eff: float) -> np.ndarray:
+        """exp(-i H dt) psi = e^{-i e_mid dt} sum_k c_k T_k(A) psi, with
+        A = (H(w_eff) - e_mid) / half_span, on the real view x of psi:
+        (2n, 2) [re, im] in the phi representation on the dense path, 2 A
+        one matmul with :meth:`_scaled_dense`; (n, 4) otherwise, from
+        apply_h.
 
-        A is real, so v may be real or complex, and each column of v is
-        propagated on its own. One matvec is counted per term after the
-        first.
+        A is real, so each T_k(A) x is real; the even terms (real c_k)
+        and the odd ones (imaginary c_k) gather in two real accumulators,
+        combined into the complex result once. One matvec is counted per
+        term after the first.
         """
         coefs = self._coefficients(self.half_span * dt)
         order = len(coefs) - 1
-        guard = 100.0 * float(np.max(np.abs(v))) + 1e-300
-        acc = coefs[0] * v
-        if order > 0:
-            phi_prev, phi = v, apply_a(v)
-            acc += coefs[1] * phi
-            for k in range(2, order + 1):
-                phi_prev, phi = phi, 2.0 * apply_a(phi) - phi_prev
-                acc += coefs[k] * phi
-                if k % 16 == 0 and float(np.max(np.abs(phi))) > guard:
-                    raise SpectralBoundsError(
-                        "Chebyshev recurrence is growing: the Hamiltonian "
-                        "spectrum leaves the declared bounds; re-estimate "
-                        "them (raise the margin or the potential cap)"
-                    )
+        a2 = None if self.h_dense is None else self._scaled_dense(w_eff)
+        inv2 = 2.0 / self.half_span
+        guard = 100.0 * float(np.max(np.abs(x))) + 1e-300
+        acc = [coefs[0] * x, np.zeros_like(x)]
+        prev, cur, nxt = np.empty_like(x), x.copy(), np.empty_like(x)
+        for k in range(1, order + 1):
+            # nxt = 2 A cur, then T_1 = A T_0, T_k = 2 A T_(k-1) - T_(k-2)
+            if a2 is not None:
+                np.matmul(a2, cur, out=nxt)
+            else:
+                np.subtract(self.apply_h(cur, w_eff), self.e_mid * cur,
+                            out=nxt)
+                nxt *= inv2
+            if k == 1:
+                nxt *= 0.5
+            else:
+                nxt -= prev
+            prev, cur, nxt = cur, nxt, prev
+            acc[k & 1] += coefs[k] * cur
+            if k % 16 == 0 and float(np.max(np.abs(cur))) > guard:
+                raise SpectralBoundsError(
+                    "Chebyshev recurrence is growing: the Hamiltonian "
+                    "spectrum leaves the declared bounds; re-estimate "
+                    "them (raise the margin or the potential cap)"
+                )
         self.matvecs += order
         self.max_order = max(self.max_order, order)
-        return acc * np.exp(-1j * self.e_mid * dt)
+        psi = acc[0].view(complex) + 1j * acc[1].view(complex)
+        return psi * np.exp(-1j * self.e_mid * dt)
 
     def step(self, pair: np.ndarray, dt: float, f_mid: float) -> np.ndarray:
         """exp(-i H(f_mid) dt) applied to stacked channels."""
         w_eff = self.w_peak * f_mid
+        psi = np.ascontiguousarray(pair, dtype=complex)
         if self.h_dense is None:
-            inv = 1.0 / self.half_span
-
-            def apply_a(x):
-                return (self.apply_h(x, w_eff) - self.e_mid * x) * inv
-
-            return self._series(apply_a, pair, dt)
-        phi = np.ascontiguousarray(pair, dtype=complex).reshape(-1) * self._rj
-        # real (2n, 2) [re, im] view: each term is one real matmul
-        acc = self._series(self._scaled_dense(w_eff).__matmul__,
-                           phi.view(float).reshape(-1, 2), dt)
-        return ((acc[:, 0] + 1j * acc[:, 1]) / self._rj).reshape(pair.shape)
+            return self._series(psi.view(float), dt, w_eff)
+        phi = psi.reshape(-1) * self._rj
+        out = self._series(phi.view(float).reshape(-1, 2), dt, w_eff)
+        return (out.reshape(-1) / self._rj).reshape(pair.shape)
 
     def steps(self, pair: np.ndarray, dt: float, f_mid: np.ndarray,
               const: bool):
@@ -227,12 +283,13 @@ class _Engine:
                 pair = self.step(pair, dt, f)
                 yield pair
             return
-        # the scaled matrix, so both paths propagate the same operator
+        # eigenvalues of 2 A are 2 (E - e_mid) / half_span: both paths
+        # propagate the same operator
         lam, v = np.linalg.eigh(self._scaled_dense(self.w_peak * f_mid[0]))
         self.eigensolves += 1
         dev = float(np.abs(v.T @ v - np.eye(len(v))).max())
         self.eigen_orthogonality = max(self.eigen_orthogonality, dev)
-        phase = np.exp(-1j * (self.e_mid + self.half_span * lam) * dt)
+        phase = np.exp(-1j * (self.e_mid + 0.5 * self.half_span * lam) * dt)
         phi = np.ascontiguousarray(pair, dtype=complex).reshape(-1) * self._rj
         c = (v.T @ phi.view(float).reshape(-1, 2)).view(complex)[:, 0]
         v /= self._rj[:, None]              # so that V c is psi
@@ -346,6 +403,7 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
 
     meta = {
         "e_lo": eng.e_lo, "e_hi": eng.e_hi, "v_cap": eng.cap,
+        "lambda_max": eng.lambda_max, "bound_matvecs": eng.bound_matvecs,
         "matvecs": eng.matvecs, "max_order": eng.max_order,
         "eigensolves": eng.eigensolves,
         "eigen_orthogonality": eng.eigen_orthogonality,

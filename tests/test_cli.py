@@ -106,6 +106,16 @@ def test_propagate_outputs_are_reproducible(tmp_path):
         assert a == b, f"{name} differs between identical runs"
 
 
+def test_propagate_manifest_records_the_run(tmp_path):
+    rc, out = _propagate(tmp_path, "meta")
+    assert rc == 0
+    run = read_json(os.path.join(out, "manifest.json"))["propagation"]
+    # the measured spectral top sits inside the declared interval
+    assert run["e_lo"] < run["lambda_max"] < run["e_hi"]
+    assert run["bound_matvecs"] > 0
+    assert run["matvecs"] > 0 and run["max_order"] > 0
+
+
 def test_analyze_after_propagate(tmp_path):
     rc, run_dir = _propagate(tmp_path, "run")
     assert rc == 0

@@ -311,3 +311,61 @@ def test_meta_reports_kinetic_fft_length():
         start = TwoChannelState(g, gaussian(g, 6.0, 0.44), np.zeros(g.n))
         meta = propagate(sys_, g, plan, start).meta
         assert meta["kinetic_fft_len"] == g.kinetic_fft_len == size
+
+
+# --- plan values must be finite ---------------------------------------------------
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["dt_ramp", "dt_flat", "spectral_margin",
+                                  "v_cap", "snapshots"])
+def test_plan_rejects_non_finite_values(name, value):
+    kw = {name: (1.0, value) if name == "snapshots" else value}
+    with pytest.raises(DomainError, match=name):
+        PropagationPlan(t_start=0.0, t_end=2.0, **kw)
+
+
+# --- bounds measured from the coupled operator ------------------------------------
+
+def _coupled_h(sys_, grid, cap, f):
+    n = grid.n
+    h = np.zeros((2 * n, 2 * n))
+    h[:n, :n] = hamiltonian_matrix(np.minimum(sys_.ground.value(grid.r), cap),
+                                   grid)
+    h[n:, n:] = hamiltonian_matrix(np.minimum(sys_.excited.value(grid.r), cap),
+                                   grid)
+    h[:n, n:] = h[n:, :n] = np.eye(n) * sys_.coupling * f
+    return h
+
+
+def test_measured_bounds_contain_every_envelope_value_and_are_tight():
+    sys_, grid, _ = _offset_pair()
+    e_lo, e_hi, cap = spectral_bounds(sys_, grid)
+    for f in (0.0, 0.5, 1.0):
+        evals = np.linalg.eigvalsh(_coupled_h(sys_, grid, cap, f))
+        assert e_lo < evals[0] and evals[-1] < e_hi
+    # the margin of 5 percent a side, and no more
+    assert e_hi - e_lo <= 1.15 * (evals[-1] - evals[0])
+
+
+@pytest.mark.parametrize("n", [120, 300])     # dense and transform kernels
+def test_lambda_max_matches_dense_spectrum(n):
+    sys_, _, _ = _offset_pair()
+    grid = build_grid(sys_, n, 3.0, 12.0, kind="adaptive")
+    eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    assert (eng.h_dense is None) == (n > 256) and eng.bound_matvecs > 0
+    top = np.linalg.eigvalsh(_coupled_h(sys_, grid, eng.cap, 1.0))[-1]
+    assert eng.lambda_max == pytest.approx(top, rel=1e-8)
+    assert eng.e_lo < eng.lambda_max < eng.e_hi
+
+
+def test_measured_bounds_and_orders_repeat_exactly():
+    sys_, grid, init = _offset_pair()
+    a = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    b = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    assert (a.e_lo, a.e_hi) == (b.e_lo, b.e_hi)
+    plan = PropagationPlan.from_ps(t_start=0.0, t_end=2.5, dt_ramp=0.01)
+    metas = [propagate(sys_, grid, plan, init).meta for _ in range(2)]
+    for key in ("e_lo", "e_hi", "lambda_max", "bound_matvecs", "matvecs",
+                "max_order"):
+        assert metas[0][key] == metas[1][key]
+    assert metas[0]["matvecs"] == 200 * metas[0]["max_order"]

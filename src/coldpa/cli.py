@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import os
 import sys as _sys
+import time
 
 import numpy as np
 from scipy import fft as sfft
@@ -118,20 +119,36 @@ def cmd_spectrum(args, cfg: RunConfig):
     return 0
 
 
+@contextlib.contextmanager
+def _phase(timings: dict, name: str):
+    """Record the wall seconds of the with-block as timings[name]."""
+    t0 = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - t0
+
+
 def cmd_propagate(args, cfg: RunConfig):
     out = _need_out(args)
-    system = cfg.build_system()
-    grid = cfg.build_grid(system)
-    plan = cfg.build_plan()
+    timings = {}
+    with _phase(timings, "system_s"):
+        system = cfg.build_system()
+    with _phase(timings, "grid_s"):
+        grid = cfg.build_grid(system)
+    with _phase(timings, "plan_s"):
+        plan = cfg.build_plan()
     # analyze needs the endpoints even if the config forgot to ask
     snaps = set(plan.snapshots) | {plan.t_start, plan.t_end}
     plan = dataclasses.replace(plan, snapshots=tuple(sorted(snaps)))
-    state, info = cfg.build_initial(system, grid)
-    series = propagate(system, grid, plan, state)
-    io.save_grid(os.path.join(out, "grid.csv"), grid)
-    io.save_timeseries(out, series)
+    with _phase(timings, "initial_s"):
+        state, info = cfg.build_initial(system, grid)
+    with _phase(timings, "propagate_s"):
+        series = propagate(system, grid, plan, state)
+    with _phase(timings, "save_s"):
+        io.save_grid(os.path.join(out, "grid.csv"), grid)
+        io.save_timeseries(out, series)
     io.write_manifest(out, "propagate", cfg.text,
-                      extra={"initial": info, "propagation": series.meta})
+                      extra={"initial": info, "propagation": series.meta,
+                             "timings": timings})
     _say(args, f"steps: {len(series.t) - 1}, "
                f"matvecs: {series.meta['matvecs']}, "
                f"max order: {series.meta['max_order']}")

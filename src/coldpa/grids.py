@@ -20,9 +20,11 @@ B = diag(J_full^-1/2) O P k S diag(J^-1/2), and O P k S has a closed form
 from the sum F(p) = sum_k k sin(pi k p / (N+1)) = -((N+1)/2) (-1)^p
 cot(pi p / (2N+2)) (cf. the sine-DVR kinetic formula of Colbert & Miller,
 J. Chem. Phys. 96, 1982 (1992)). B and B^T are Toeplitz-plus-Hankel in
-that one table, so applied to vectors T_phi runs as two real-FFT linear
-convolutions against it, zero-padded to a 5-smooth length L >= 3n + 2
-(:attr:`RadialGrid.kinetic_fft_len`); as a dense matrix it is B^T B.
+that one real table, so applied to vectors T_phi runs as two FFT linear
+convolutions against it along the node axis (complex FFTs on complex
+input, real ones on real input), zero-padded to a 5-smooth length
+L >= 3n + 2 (:attr:`RadialGrid.kinetic_fft_len`); as a dense matrix it
+is B^T B.
 """
 
 from __future__ import annotations
@@ -98,13 +100,16 @@ class RadialGrid:
 
     @cached_property
     def _convolution(self):
-        """(rfft of G(p) = -F(p) on p = -2n-1..n at the length L,
-        J^-1/2, J^-1, r_m^2 / 2 mu) for :func:`_mapped_gram`, with
-        r_m from :func:`_row_scale`. Built on first use, once per grid."""
+        """(rfft and complex fft of G(p) = -F(p) on p = -2n-1..n at the
+        length L, J^-1/2, J^-1, r_m^2 / 2 mu) for :func:`_mapped_gram`,
+        with r_m from :func:`_row_scale`. Built on first use, once per
+        grid."""
         n, big = self.n, self.n + 1
         g = -_cot_sum(big, np.arange(-2 * n - 1, n + 1))
-        return (sfft.rfft(g, self.kinetic_fft_len), 1.0 / np.sqrt(self.jac),
-                1.0 / self.jac, _row_scale(self) ** 2 / (2.0 * self.mu))
+        size = self.kinetic_fft_len
+        return (sfft.rfft(g, size), sfft.fft(g, size),
+                1.0 / np.sqrt(self.jac), 1.0 / self.jac,
+                _row_scale(self) ** 2 / (2.0 * self.mu))
 
 
 def build_uniform(r_lo: float, r_hi: float, n: int, mu: float) -> RadialGrid:
@@ -220,32 +225,41 @@ def build_grid(sys, n: int, r_lo: float, r_hi: float, kind: str = "uniform",
 
 # kinetic operator -----------------------------------------------------------
 
-def _mapped_gram(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
-    """D^T diag(1/J_full) D u / (2 mu), with D of :func:`_mapped_derivative`,
-    so that T_phi x = J^-1/2 of this at u = J^-1/2 x.
+def _mapped_gram(grid: RadialGrid, u: np.ndarray,
+                 row: np.ndarray = None) -> np.ndarray:
+    """D^T diag(1/J_full) D u / (2 mu) along the last axis of u, shape
+    (..., n), real or complex, with D of :func:`_mapped_derivative`, so
+    that T_phi x = J^-1/2 of this at u = J^-1/2 x.
 
     With N = n+1, c(s) = sum_j F(j - s) u_j for s = -N..N gives
     (D u)_m = (kappa / N) c_m (c(m) + c(-m)), and e(t) = sum_m F(t - m) y_m
     gives (D^T v)_j = e(j) - e(-j) for y_m = (kappa / N) c_m v_m. Both
-    are linear convolutions with F on p = -2n-1..n, done as one
-    rfft/irfft pair each at the length L of
+    are linear convolutions with F on p = -2n-1..n, done as one forward
+    and one inverse FFT each at the length L of
     :attr:`RadialGrid.kinetic_fft_len`; L >= 3n+2, so no kept output
-    wraps. Complex input runs as its real view, every column at once.
+    wraps. The table is real, so a complex u is convolved directly by
+    complex FFTs and a real one by real FFTs, every row at once.
+
+    ``row`` replaces the middle row scale r_m^2 / 2 mu; a caller folds a
+    constant factor into it (the propagator its 2 / half_span).
     """
     n = grid.n
-    spec, _, _, r2 = grid._convolution      # r2 = r^2 / 2 mu
+    spec_r, spec_c, _, _, r2 = grid._convolution
     size = grid.kinetic_fft_len
-    cplx = np.iscomplexobj(u)
-    x = u.reshape(n, -1)
-    if cplx:
-        x = np.ascontiguousarray(x).view(float)
-    c = sfft.irfft(sfft.rfft(x, size, axis=0) * spec[:, None], size,
-                   axis=0)[n - 1:3 * n + 2]        # c(s), s = -N..N
-    y = (c[n + 1:] + c[n + 1::-1]) * r2[:, None]
+    if np.iscomplexobj(u):
+        fwd, inv, spec = sfft.fft, sfft.ifft, spec_c
+    else:
+        fwd, inv, spec = sfft.rfft, sfft.irfft, spec_r
+    a = fwd(u, size)
+    a *= spec
+    c = inv(a, size, overwrite_x=True)[..., n - 1:3 * n + 2]  # s = -N..N
+    y = c[..., n + 1:] + c[..., n + 1::-1]
+    y *= r2 if row is None else row
     # the table holds G = -F: e(t) = -h[t + 2n + 1], z_j = e(j) - e(-j)
-    h = sfft.irfft(sfft.rfft(y, size, axis=0) * spec[:, None], size, axis=0)
-    z = h[2 * n:n:-1] - h[2 * n + 2:3 * n + 2]
-    return (z.view(complex) if cplx else z).reshape(u.shape)
+    b = fwd(y, size)
+    b *= spec
+    h = inv(b, size, overwrite_x=True)
+    return h[..., 2 * n:n:-1] - h[..., 2 * n + 2:3 * n + 2]
 
 
 def apply_kinetic_phi(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
@@ -258,10 +272,8 @@ def apply_kinetic_phi(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
     sine-basis operator, exact for basis members. Accepts (n,) or (n, m)
     arrays, real or complex (columns transformed independently).
     """
-    _, rj, _, _ = grid._convolution         # J^-1/2
-    if phi.ndim > 1:
-        rj = rj[:, None]
-    return _mapped_gram(grid, phi * rj) * rj
+    rj = grid._convolution[2]               # J^-1/2
+    return (_mapped_gram(grid, phi.T * rj) * rj).T
 
 
 def apply_kinetic(grid: RadialGrid, amp: np.ndarray) -> np.ndarray:
@@ -270,10 +282,8 @@ def apply_kinetic(grid: RadialGrid, amp: np.ndarray) -> np.ndarray:
     It composes to the exact similarity pair (1/J) d/dx (1/J) d/dx of the
     physical second derivative.
     """
-    _, _, inv_j, _ = grid._convolution
-    if amp.ndim > 1:
-        inv_j = inv_j[:, None]
-    return _mapped_gram(grid, amp) * inv_j
+    inv_j = grid._convolution[3]
+    return (_mapped_gram(grid, amp.T) * inv_j).T
 
 
 def _row_scale(grid: RadialGrid) -> np.ndarray:

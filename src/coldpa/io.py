@@ -16,6 +16,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DomainError
 from .grids import RadialGrid, TwoChannelState
+from .propagation import WALL_CLOCK_KEYS
 
 
 def format_float(x) -> str:
@@ -118,7 +119,11 @@ def load_state(path, grid: RadialGrid, t: float = 0.0) -> TwoChannelState:
 
 
 def save_timeseries(out_dir: str, series) -> None:
-    """populations.csv + one state CSV per snapshot inside out_dir."""
+    """populations.csv + one state CSV per snapshot inside out_dir.
+
+    The series meta goes into snapshots.json without its wall-clock
+    timings, so identical runs write identical files.
+    """
     write_csv(
         os.path.join(out_dir, "populations.csv"),
         ["t_ps", "pop_g", "pop_e", "norm"],
@@ -132,7 +137,8 @@ def save_timeseries(out_dir: str, series) -> None:
     write_json(os.path.join(out_dir, "snapshots.json"), {
         "snapshots": index,
         "meta": {k: (v if isinstance(v, (int, str)) else float(v))
-                 for k, v in series.meta.items()},
+                 for k, v in series.meta.items()
+                 if k not in WALL_CLOCK_KEYS},
     })
 
 

@@ -11,17 +11,23 @@ positive semi-definite (see :func:`spectral_bounds`). Both are padded by a
 configurable margin; a runaway recurrence is detected and reported rather
 than silently aliased.
 
-One recurrence serves every grid, in real arithmetic: H is real, so each
-Chebyshev term acts on the real view of the state. Grids of up to 256
-points take the dense path: the coupled Hamiltonian is one real symmetric
-2n x 2n matrix in the phi = sqrt(J) psi representation and each term is
-one matmul on the (2n, 2) [re, im] view. There a constant interval,
+One recurrence serves every grid. Grids of up to 256 points take the
+dense path: the coupled Hamiltonian is one real symmetric 2n x 2n matrix
+in the phi = sqrt(J) psi representation and each term is one matmul on
+the real (2n, 2) [re, im] view of the state. There a constant interval,
 whatever its step count, is propagated exactly from one eigendecomposition
 of H(f), whose eigenvectors are the dressed states (Kosloff, Annu. Rev.
 Phys. Chem. 45, 145 (1994)).
-Larger grids apply the kinetic energy as two real-FFT convolutions at a
-5-smooth length, uniform and mapped grids alike (see :mod:`coldpa.grids`),
-and take Chebyshev steps throughout.
+Larger grids take Chebyshev steps throughout. A step holds the state as
+one C-ordered channel-major (2, n) complex block of psi values, and each
+term applies 2 A = 2 (H - e_mid) / half_span as one pre-scaled operator:
+the kinetic energy as two complex-FFT convolutions against the real cot
+table at a 5-smooth length (see :mod:`coldpa.grids`), with 2 / half_span
+folded into its row scale; the potentials as one (2, n) diagonal; the
+coupling as one scalar on the channel-swapped rows. The Lanczos estimate
+of the top applies the same operator unscaled.
+Both paths time their steps (``series_s`` in :attr:`TimeSeries.meta`),
+and the FFT path its convolutions (``kinetic_s``).
 
 Short-range repulsive walls can tower orders of magnitude above every
 energy the dynamics visits and would inflate the expansion order, so the
@@ -32,14 +38,16 @@ asymptote plus the kinetic capacity). Eigensolves elsewhere never cap.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import jv
 
 from .errors import DomainError, NumericsError, SpectralBoundsError
-from .grids import (RadialGrid, TwoChannelState, apply_kinetic,
+from .grids import (RadialGrid, TwoChannelState, _mapped_gram,
                     ensure_same_grid)
 from .potentials import CoupledSystem
 from .spectrum import hamiltonian_matrix
@@ -128,8 +136,10 @@ class _Engine:
         self._rj = np.repeat(np.sqrt(grid.jac), 2)  # channels interleaved
         self._diag = np.arange(2 * grid.n)
         self._scaled, self._scaled_key = None, None
+        self._prescaled, self._prescaled_key = None, None
         self._coef_cache: dict[float, np.ndarray] = {}
         self.bound_matvecs = 0
+        self.kinetic_s = 0.0
         w_max = sys.coupling * sys.envelope.flat_value
         self.lambda_max = self._top(w_max)
         lo = float(min(self.vg.min(), self.ve.min())) - w_max
@@ -141,6 +151,8 @@ class _Engine:
         self.max_order = 0
         self.eigensolves = 0
         self.eigen_orthogonality = 0.0
+        self.series_s = 0.0
+        self.kinetic_s = 0.0      # the Lanczos applications are not steps
 
     def _dense_hamiltonian(self) -> np.ndarray:
         """Uncoupled phi-representation H as one real symmetric 2n x 2n
@@ -151,30 +163,55 @@ class _Engine:
         h[1::2, 1::2] = hamiltonian_matrix(self.ve, self.grid)
         return h
 
-    def apply_h(self, x: np.ndarray, w_eff: float) -> np.ndarray:
-        """H acting on stacked channels: x of shape (n, 2m), the ground
-        channel in its first m columns and the excited one in the last m,
-        as in an (n, 2) pair or the (n, 4) real view of a complex one."""
-        m = x.shape[1] // 2
-        out = apply_kinetic(self.grid, x)
-        out[:, :m] += self.vg[:, None] * x[:, :m] + w_eff * x[:, m:]
-        out[:, m:] += self.ve[:, None] * x[:, m:] + w_eff * x[:, :m]
-        return out
+    def _fft_operator(self, w_eff: float, shift: float, scale: float):
+        """apply(x, out): out = scale (H(w_eff) - shift) x on a C-ordered
+        channel-major (2, n) block x of psi values, real or complex.
+
+        The kinetic part is :func:`grids._mapped_gram` with ``scale``
+        folded into its row scale, then divided by J; the potentials are
+        one (2, n) diagonal (V - shift) scale, and the coupling the scalar
+        w_eff scale on the channel-swapped rows. The arrays are kept for
+        one (shift, scale) and rebuilt when it changes. Time in the FFT
+        convolutions goes to kinetic_s.
+        """
+        key = (shift, scale)
+        conv = self.grid._convolution
+        if self._prescaled_key != key:
+            self._prescaled = (conv[4] * scale,
+                               (np.stack([self.vg, self.ve]) - shift) * scale)
+            self._prescaled_key = key
+        row, diag = self._prescaled
+        inv_j, ws = conv[3], w_eff * scale
+
+        def apply(x, out):
+            t0 = time.perf_counter()
+            kin = _mapped_gram(self.grid, x, row)
+            self.kinetic_s += time.perf_counter() - t0
+            np.multiply(kin, inv_j, out=out)
+            out += diag * x
+            out += ws * x[::-1]
+            return out
+
+        return apply
 
     def _top(self, w: float) -> float:
         """Largest eigenvalue of H at coupling w, by Lanczos (ARPACK) on
-        the symmetric phi representation: the dense matrix, or apply_h
-        conjugated by sqrt(J). Operator applications go to
-        bound_matvecs."""
+        the symmetric phi representation: the dense matrix, or the FFT
+        operator (shift 0, scale 1) conjugated by sqrt(J). Vectors keep
+        the channels interleaved on both paths. Operator applications go
+        to bound_matvecs."""
         n = self.grid.n
-        rj = self._rj.reshape(n, 2)
+        if self.h_dense is None:
+            h_op = self._fft_operator(w, 0.0, 1.0)
+            sq = np.sqrt(self.grid.jac)
 
         def matvec(x):
             self.bound_matvecs += 1
             x = x.reshape(n, 2)
             if self.h_dense is not None:
                 return self.h_dense @ x.ravel() + w * x[:, ::-1].ravel()
-            return (rj * self.apply_h(x / rj, w)).ravel()
+            psi = np.ascontiguousarray(x.T) / sq
+            return (h_op(psi, np.empty_like(psi)) * sq).T.ravel()
 
         op = LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float)
         v0 = np.random.default_rng(0).standard_normal(2 * n)
@@ -218,33 +255,27 @@ class _Engine:
         self._coef_cache[alpha] = coefs
         return coefs
 
-    def _series(self, x: np.ndarray, dt: float, w_eff: float) -> np.ndarray:
+    def _series(self, x: np.ndarray, dt: float, apply2a) -> np.ndarray:
         """exp(-i H dt) psi = e^{-i e_mid dt} sum_k c_k T_k(A) psi, with
-        A = (H(w_eff) - e_mid) / half_span, on the real view x of psi:
-        (2n, 2) [re, im] in the phi representation on the dense path, 2 A
-        one matmul with :meth:`_scaled_dense`; (n, 4) otherwise, from
-        apply_h.
+        A = (H - e_mid) / half_span and apply2a(cur, out=nxt) writing
+        2 A cur into nxt: on the dense path x is the real (2n, 2) [re, im]
+        view of phi and 2 A one matmul with :meth:`_scaled_dense`; on the
+        FFT path x is the complex (2, n) psi block and 2 A the
+        :meth:`_fft_operator` at (e_mid, 2 / half_span).
 
-        A is real, so each T_k(A) x is real; the even terms (real c_k)
-        and the odd ones (imaginary c_k) gather in two real accumulators,
-        combined into the complex result once. One matvec is counted per
-        term after the first.
+        A is real, so the even terms (real c_k) and the odd ones
+        (imaginary c_k) gather in two accumulators of x's type, combined
+        into the complex result once. One matvec is counted per term
+        after the first.
         """
         coefs = self._coefficients(self.half_span * dt)
         order = len(coefs) - 1
-        a2 = None if self.h_dense is None else self._scaled_dense(w_eff)
-        inv2 = 2.0 / self.half_span
         guard = 100.0 * float(np.max(np.abs(x))) + 1e-300
         acc = [coefs[0] * x, np.zeros_like(x)]
         prev, cur, nxt = np.empty_like(x), x.copy(), np.empty_like(x)
         for k in range(1, order + 1):
             # nxt = 2 A cur, then T_1 = A T_0, T_k = 2 A T_(k-1) - T_(k-2)
-            if a2 is not None:
-                np.matmul(a2, cur, out=nxt)
-            else:
-                np.subtract(self.apply_h(cur, w_eff), self.e_mid * cur,
-                            out=nxt)
-                nxt *= inv2
+            apply2a(cur, out=nxt)
             if k == 1:
                 nxt *= 0.5
             else:
@@ -259,18 +290,28 @@ class _Engine:
                 )
         self.matvecs += order
         self.max_order = max(self.max_order, order)
-        psi = acc[0].view(complex) + 1j * acc[1].view(complex)
-        return psi * np.exp(-1j * self.e_mid * dt)
+        even, odd = acc
+        if not np.iscomplexobj(x):
+            even, odd = even.view(complex), odd.view(complex)
+        return (even + 1j * odd) * np.exp(-1j * self.e_mid * dt)
 
     def step(self, pair: np.ndarray, dt: float, f_mid: float) -> np.ndarray:
-        """exp(-i H(f_mid) dt) applied to stacked channels."""
+        """exp(-i H(f_mid) dt) applied to an (n, 2) channel pair; the
+        wall time goes to series_s."""
+        t0 = time.perf_counter()
         w_eff = self.w_peak * f_mid
-        psi = np.ascontiguousarray(pair, dtype=complex)
         if self.h_dense is None:
-            return self._series(psi.view(float), dt, w_eff)
-        phi = psi.reshape(-1) * self._rj
-        out = self._series(phi.view(float).reshape(-1, 2), dt, w_eff)
-        return (out.reshape(-1) / self._rj).reshape(pair.shape)
+            psi = np.ascontiguousarray(pair.T, dtype=complex)
+            op = self._fft_operator(w_eff, self.e_mid, 2.0 / self.half_span)
+            out = self._series(psi, dt, op).T
+        else:
+            phi = (np.ascontiguousarray(pair, dtype=complex).reshape(-1)
+                   * self._rj)
+            out = self._series(phi.view(float).reshape(-1, 2), dt,
+                               partial(np.matmul, self._scaled_dense(w_eff)))
+            out = (out.reshape(-1) / self._rj).reshape(pair.shape)
+        self.series_s += time.perf_counter() - t0
+        return out
 
     def steps(self, pair: np.ndarray, dt: float, f_mid: np.ndarray,
               const: bool):
@@ -311,6 +352,11 @@ def step(sys: CoupledSystem, grid: RadialGrid, state: TwoChannelState,
         f = float(sys.envelope.value(state.t + 0.5 * dt))
     pair = eng.step(np.column_stack([state.g, state.e]), dt, f)
     return TwoChannelState(grid, pair[:, 0], pair[:, 1], state.t + dt)
+
+
+# TimeSeries.meta entries that are wall-clock seconds, so differ between
+# identical runs
+WALL_CLOCK_KEYS = ("series_s", "kinetic_s")
 
 
 @dataclass
@@ -407,6 +453,7 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
         "matvecs": eng.matvecs, "max_order": eng.max_order,
         "eigensolves": eng.eigensolves,
         "eigen_orthogonality": eng.eigen_orthogonality,
+        "series_s": eng.series_s, "kinetic_s": eng.kinetic_s,
         # 0: the dense path runs no FFT
         "kinetic_fft_len": 0 if eng.h_dense is not None
         else grid.kinetic_fft_len,

@@ -116,6 +116,19 @@ def test_propagate_manifest_records_the_run(tmp_path):
     assert run["matvecs"] > 0 and run["max_order"] > 0
 
 
+def test_propagate_manifest_times_each_phase(tmp_path):
+    rc, out = _propagate(tmp_path, "timed")
+    assert rc == 0
+    man = read_json(os.path.join(out, "manifest.json"))
+    timings = man["timings"]
+    assert sorted(timings) == ["grid_s", "initial_s", "plan_s",
+                               "propagate_s", "save_s", "system_s"]
+    assert all(v >= 0.0 for v in timings.values())
+    # the Chebyshev steps run inside the propagate phase
+    run = man["propagation"]
+    assert 0.0 < run["kinetic_s"] <= run["series_s"] <= timings["propagate_s"]
+
+
 def test_analyze_after_propagate(tmp_path):
     rc, run_dir = _propagate(tmp_path, "run")
     assert rc == 0

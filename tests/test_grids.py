@@ -211,6 +211,32 @@ def test_mapped_kinetic_matches_four_transform_oracle(which):
         np.testing.assert_allclose(out, t @ x, rtol=0, atol=tol)
 
 
+@pytest.mark.parametrize("which", ["real_n3", "fortran_complex_n2",
+                                   "real_vector_n1400"])
+def test_public_kinetic_keeps_its_contract(which):
+    # both public kinetic functions take (n,) and (n, m) input, real or
+    # complex, in any memory order, and return its shape and dtype
+    rng = np.random.default_rng(23)
+    if which == "real_vector_n1400":
+        g = build_grid(reference_system(), 1400, 2.0, 200.0, kind="adaptive")
+        x = rng.standard_normal(g.n)
+    else:
+        g = _adaptive(n=120)
+        if which == "real_n3":
+            x = rng.standard_normal((g.n, 3))
+        else:
+            x = np.asfortranarray(rng.standard_normal((g.n, 2))
+                                  + 1j * rng.standard_normal((g.n, 2)))
+    t = kinetic_matrix(g)
+    rj = np.sqrt(g.jac).reshape((-1,) + (1,) * (x.ndim - 1))
+    for fn, ref in ((apply_kinetic_phi, t @ x),
+                    (apply_kinetic, (t @ (rj * x)) / rj)):
+        out = fn(g, x)
+        assert out.shape == x.shape and out.dtype == x.dtype
+        np.testing.assert_allclose(out, ref, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+
+
 def test_kinetic_fft_length_is_smooth_on_reference_grid():
     g = build_grid(reference_system(), 1400, 2.0, 200.0, kind="adaptive")
     size = g.kinetic_fft_len

@@ -233,6 +233,18 @@ def test_runaway_recurrence_is_caught():
         eng.step(pair, 60.0 / eng.half_span, 1.0)
 
 
+def test_runaway_recurrence_is_caught_on_fft_path():
+    # the pre-scaled FFT arrays must follow a changed (e_mid, half_span)
+    sys_, grid, init = _offset_pair()
+    eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    eng.h_dense = None
+    pair = np.column_stack([init.g, init.e]).astype(complex)
+    eng.step(pair, 0.02 * ps2au, 1.0)
+    eng.half_span *= 0.15
+    with pytest.raises(SpectralBoundsError):
+        eng.step(pair, 60.0 / eng.half_span, 1.0)
+
+
 # --- exact propagation of constant intervals on the dense path ------------------
 
 @pytest.mark.parametrize("mapping, n, dt_ps", [("uniform", 64, 0.02),
@@ -369,3 +381,42 @@ def test_measured_bounds_and_orders_repeat_exactly():
                 "max_order"):
         assert metas[0][key] == metas[1][key]
     assert metas[0]["matvecs"] == 200 * metas[0]["max_order"]
+
+
+def _adaptive_300():
+    sys_, _, _ = _offset_pair()
+    grid = build_grid(sys_, 300, 3.0, 12.0, kind="adaptive")
+    pair = np.column_stack([gaussian(grid, 6.0, 0.44),
+                            0.5 * gaussian(grid, 6.5, 0.6)]).astype(complex)
+    return sys_, grid, pair
+
+
+@pytest.mark.parametrize("f", [0.5, 1.0])
+def test_fft_step_matches_exact_propagator(f):
+    # one step above the dense cut against exp(-i H dt) from eigh of the
+    # capped coupled H in the phi representation
+    sys_, grid, pair = _adaptive_300()
+    eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    assert eng.h_dense is None
+    dt = 0.002 * ps2au
+    evals, vecs = np.linalg.eigh(_coupled_h(sys_, grid, eng.cap, f))
+    rj = np.sqrt(grid.jac)
+    phi = (pair * rj[:, None]).T.ravel()
+    out = vecs @ (np.exp(-1j * evals * dt) * (vecs.T @ phi))
+    exact = out.reshape(2, grid.n).T / rj[:, None]
+    np.testing.assert_allclose(eng.step(pair, dt, f), exact, rtol=0,
+                               atol=1e-11)
+
+
+def test_meta_times_the_series_and_the_kinetic_step():
+    sys_, grid, pair = _adaptive_300()
+    init = TwoChannelState(grid, pair[:, 0], pair[:, 1])
+    init = TwoChannelState(grid, init.g / init.norm(), init.e / init.norm())
+    plan = PropagationPlan.from_ps(t_start=0.0, t_end=0.004, dt_ramp=0.002)
+    meta = propagate(sys_, grid, plan, init).meta
+    assert meta["matvecs"] > 0
+    assert 0.0 < meta["kinetic_s"] <= meta["series_s"]
+    # the dense path times its steps and runs no FFT
+    sys_, grid, init = _offset_pair()
+    meta = propagate(sys_, grid, plan, init).meta
+    assert meta["series_s"] > 0.0 and meta["kinetic_s"] == 0.0

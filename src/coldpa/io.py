@@ -12,6 +12,7 @@ import os
 from dataclasses import asdict
 
 import numpy as np
+import scipy.fft
 
 from . import __version__
 from .errors import ConfigError, DomainError
@@ -84,6 +85,8 @@ def write_manifest(out_dir: str, command: str, config_text: str,
     manifest = {
         "command": command,
         "config": config_text,
+        "environment": {"numpy": np.__version__, "scipy": scipy.__version__,
+                        "fft_workers": scipy.fft.get_workers()},
         "files": sorted(f for f in os.listdir(out_dir)
                         if f != "manifest.json"),
         "version": __version__,

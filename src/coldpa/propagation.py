@@ -139,7 +139,7 @@ class _Engine:
         self._prescaled, self._prescaled_key = None, None
         self._coef_cache: dict[float, np.ndarray] = {}
         self.bound_matvecs = 0
-        self.kinetic_s = 0.0
+        self.kinetic_s = 0.0      # _top's FFT applications add to it
         w_max = sys.coupling * sys.envelope.flat_value
         self.lambda_max = self._top(w_max)
         lo = float(min(self.vg.min(), self.ve.min())) - w_max

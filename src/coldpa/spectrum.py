@@ -2,7 +2,9 @@
 
 Levels are solved in the transformed (phi) representation where the grid
 Hamiltonian is a plain symmetric matrix; returned wavefunctions are psi
-values normalized against the grid quadrature weights.
+values normalized against the grid quadrature weights, each with a fixed
+sign, so a full and a windowed solve return the same columns. The
+continuum start solves only the window up to its upper neighbour.
 """
 
 from __future__ import annotations
@@ -28,7 +30,12 @@ def hamiltonian_matrix(curve, grid: RadialGrid) -> np.ndarray:
 
 def _phi_to_psi(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
     # in place: eigh returns sum(phi^2) = 1; physical normalization is
-    # sum w |psi|^2 = 1
+    # sum w |psi|^2 = 1. LAPACK drivers disagree on column signs, so each
+    # column is flipped to make its first component above 1e-3 max|phi|
+    # positive.
+    mag = np.abs(phi)
+    lead = np.argmax(mag > 1e-3 * mag.max(axis=0), axis=0)
+    phi *= np.sign(phi[lead, np.arange(phi.shape[1])])
     phi /= np.sqrt(grid.dx)
     phi /= np.sqrt(grid.jac)[:, None]
     return phi
@@ -164,21 +171,35 @@ class ContinuumRef:
 
 
 def continuum_state(curve, grid: RadialGrid, e_target: float) -> ContinuumRef:
-    """Box eigenstate nearest e_target above the channel asymptote, picked
-    from the full spectrum of ``solve_levels``.
+    """Box eigenstate nearest e_target above the channel asymptote, from a
+    windowed ``solve_levels`` that stops just above its upper neighbour.
 
-    e_target is measured absolutely (same origin as the curve). dE/dn is
-    the centered difference over the neighboring box levels. The state is
-    a copy of its column, so the reference holds no n x n block.
+    e_target is measured absolutely (same origin as the curve). The window
+    top lies m = 4 free-box spacings pi / L above the target's wavenumber;
+    where levels are sparser than the free box's (near threshold, or near
+    the grid's top), m doubles until the window holds the upper neighbour
+    or every level. dE/dn is the centered difference over the neighboring
+    box levels. The state is a copy of its column.
     """
-    levels = solve_levels(curve, grid)
-    evals, asym = levels.energies, levels.asymptote
-    above = np.nonzero(evals > asym)[0]
-    if len(above) < 3:
+    asym = float(getattr(curve, "asymptote", 0.0))
+    k_t = math.sqrt(2.0 * grid.mu * max(e_target - asym, 0.0))
+    m = 4
+    while True:
+        k_hi = k_t + m * np.pi / (grid.r_hi - grid.r_lo)
+        levels = solve_levels(curve, grid,
+                              window=(-np.inf, asym + k_hi**2 / (2 * grid.mu)))
+        evals = levels.energies
+        above = np.nonzero(evals > asym)[0]
+        j = (above[np.argmin(np.abs(evals[above] - e_target))]
+             if len(above) else -1)
+        if len(evals) == grid.n or 0 <= j < len(evals) - 1:
+            break
+        m *= 2
+    # the window holds every bound level, since its top is above asym
+    if grid.n - (len(evals) - len(above)) < 3:
         raise ResolutionError(
             "fewer than three box levels above threshold; enlarge the box"
         )
-    j = above[np.argmin(np.abs(evals[above] - e_target))]
     if j == 0 or j == len(evals) - 1:
         raise ResolutionError("target level sits at the spectrum edge")
     de_dn = 0.5 * (evals[j + 1] - evals[j - 1])

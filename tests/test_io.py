@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from coldpa.errors import ConfigError, DomainError
 from coldpa.grids import TwoChannelState, build_uniform, gaussian
@@ -91,6 +92,17 @@ def test_manifest_lists_files(tmp_path):
     assert m["config"] == "[system]\n"
     assert m["note"] == 1
     assert "version" in m
+
+
+def test_manifest_records_environment(tmp_path):
+    write_manifest(str(tmp_path), "coldpa demo", "")
+    env = read_json(str(tmp_path / "manifest.json"))["environment"]
+    assert env == {"numpy": np.__version__, "scipy": scipy.__version__,
+                   "fft_workers": scipy.fft.get_workers()}
+    with scipy.fft.set_workers(2):
+        write_manifest(str(tmp_path), "coldpa demo", "")
+    env = read_json(str(tmp_path / "manifest.json"))["environment"]
+    assert env["fft_workers"] == 2
 
 
 def test_state_round_trip(tmp_path):

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from coldpa import spectrum
+from coldpa.config import RunConfig
 from coldpa.errors import DomainError, ResolutionError
 from coldpa.grids import build_uniform, gaussian
 from coldpa.spectrum import (adiabatic_period, beat_period, continuum_state,
                              count_nodes, franck_condon, solve_levels,
                              vibrational_period)
+from coldpa.units import convert
 
 MU, DE, A, RE = 2000.0, 0.01, 0.8, 4.0
 
@@ -127,9 +130,57 @@ def test_continuum_above_a_well():
     # the state is the matching column of the full spectrum, held alone
     full = solve_levels(_morse, g)
     j = ref.index - 1
-    assert ref.energy == full.energies[j]
-    np.testing.assert_array_equal(ref.state, full.state(j))
+    assert ref.energy == pytest.approx(full.energies[j], rel=1e-12)
+    np.testing.assert_allclose(ref.state, full.state(j),
+                               atol=1e-10 * np.max(np.abs(ref.state)))
     assert ref.state.base is None
+
+
+def test_continuum_state_matches_full_spectrum(monkeypatch):
+    # the reference Cs pair on an adaptive 420-point grid over [2, 60] bohr
+    cfg = RunConfig.parse(
+        "[system]\ndetuning_cm = 140.0\ncoupling_cm = 13.17\n"
+        "r_min = 2.0\nr_max = 1000.0\n\n[excited]\ncalibrate_rc = 29.3\n\n"
+        "[grid]\nn = 420\nr_lo = 2.0\nr_hi = 60.0\nmapping = adaptive\n")
+    sys_ = cfg.build_system()
+    grid = cfg.build_grid(sys_)
+    ground = sys_.ground
+    full = solve_levels(ground, grid)
+    solves = []
+    windowed = spectrum.solve_levels
+
+    def counted(*args, **kwargs):
+        solves.append(kwargs["window"])
+        return windowed(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "solve_levels", counted)
+    # three thermal targets (kT = 7.6e-5 1/cm at 0.11 mK), then one high
+    # above threshold, where the grid levels are sparser than the free box
+    # and the first window misses the upper neighbour
+    for e_cm in (3e-5, 1e-4, 5e-4, 1000.0):
+        solves.clear()
+        target = ground.asymptote + convert(e_cm, "cm-1", "hartree")
+        ref = continuum_state(ground, grid, target)
+        above = np.nonzero(full.energies > ground.asymptote)[0]
+        j = above[np.argmin(np.abs(full.energies[above] - target))]
+        assert ref.index == j + 1
+        assert ref.energy == pytest.approx(full.energies[j], rel=1e-12)
+        # differences of near-equal energies: compare on the energy's scale
+        scale = abs(ref.energy)
+        assert ref.e_above == pytest.approx(
+            full.energies[j] - ground.asymptote, abs=1e-12 * scale)
+        de_dn = 0.5 * (full.energies[j + 1] - full.energies[j - 1])
+        assert ref.de_dn == pytest.approx(de_dn, abs=1e-12 * scale)
+        np.testing.assert_allclose(ref.state, full.state(j),
+                                   atol=1e-10 * np.max(np.abs(ref.state)))
+    assert len(solves) > 1
+    monkeypatch.undo()
+    # a window returns the same columns, signs included, as the full solve
+    hi = 0.5 * (full.energies[80] + full.energies[81])
+    win = solve_levels(ground, grid, window=(-np.inf, hi))
+    assert win.n_levels == 81
+    np.testing.assert_allclose(win.states, full.states[:, :81],
+                               atol=1e-10 * np.max(np.abs(full.states)))
 
 
 def test_continuum_edge_errors():

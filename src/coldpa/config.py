@@ -113,9 +113,6 @@ _SCHEMA = {
         "spin_factor": (_f, 0.75),
         "detunings_cm": (_floats, (67.4, 70.0)),
     },
-    "run": {
-        "label": (_s, "run"),
-    },
 }
 
 

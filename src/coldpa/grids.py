@@ -74,9 +74,17 @@ class RadialGrid:
         r = self.r
         if r[0] <= self.r_lo or r[-1] >= self.r_hi or np.any(np.diff(r) <= 0):
             raise DomainError("grid nodes must increase strictly inside the box")
+        if (self.jac is None) != (self.jac_full is None):
+            raise DomainError("grid jac and jac_full must be given together")
         if self.jac is None:
             object.__setattr__(self, "jac", np.ones(self.n))
             object.__setattr__(self, "jac_full", np.ones(self.n + 2))
+        for name, size in (("w", self.n), ("kx", self.n), ("jac", self.n),
+                           ("jac_full", self.n + 2)):
+            a = np.asarray(getattr(self, name))
+            if a.shape != (size,) or not (np.isfinite(a) & (a > 0)).all():
+                raise DomainError(
+                    f"grid {name} needs {size} finite positive entries")
 
     @property
     def n(self) -> int:

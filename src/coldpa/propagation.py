@@ -11,21 +11,23 @@ positive semi-definite (see :func:`spectral_bounds`). Both are padded by a
 configurable margin; a runaway recurrence is detected and reported rather
 than silently aliased.
 
-One recurrence serves every grid. Grids of up to 256 points take the
-dense path: the coupled Hamiltonian is one real symmetric 2n x 2n matrix
-in the phi = sqrt(J) psi representation and each term is one matmul on
-the real (2n, 2) [re, im] view of the state. There a constant interval,
-whatever its step count, is propagated exactly from one eigendecomposition
-of H(f), whose eigenvectors are the dressed states (Kosloff, Annu. Rev.
-Phys. Chem. 45, 145 (1994)).
-Larger grids take Chebyshev steps throughout. A step holds the state as
-one C-ordered channel-major (2, n) complex block of psi values, and each
-term applies 2 A = 2 (H - e_mid) / half_span as one pre-scaled operator:
+One state layout, one operator builder and one recurrence serve every
+grid. The state is a C-ordered channel-major (2, n) complex block of psi
+values, ground row first, and each Chebyshev term applies
+2 A = 2 (H - e_mid) / half_span as one pre-scaled operator. Grids of up
+to 256 points take the dense path: the operator is one real symmetric
+2n x 2n matrix in the phi = sqrt(J) psi representation, block-diagonal in
+the channels with the coupling at (i, i + n), and each term is one matmul
+on the real (2n, 2) [re, im] view of the phi block. There a constant
+interval, whatever its step count, is propagated exactly from one
+eigendecomposition of that matrix, whose eigenvectors are the dressed
+states (Kosloff, Annu. Rev. Phys. Chem. 45, 145 (1994)).
+Larger grids take Chebyshev steps throughout, on the psi block itself:
 the kinetic energy as two complex-FFT convolutions against the real cot
 table at a 5-smooth length (see :mod:`coldpa.grids`), with 2 / half_span
 folded into its row scale; the potentials as one (2, n) diagonal; the
 coupling as one scalar on the channel-swapped rows. The Lanczos estimate
-of the top applies the same operator unscaled.
+of the top applies the same operator at shift 0 and scale 1.
 Both paths time their steps (``series_s`` in :attr:`TimeSeries.meta`),
 and the FFT path its convolutions (``kinetic_s``).
 
@@ -43,6 +45,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import jv
 
@@ -118,7 +121,8 @@ _SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 class _Engine:
-    """Cached arrays and the propagation kernels for one (sys, grid) pair."""
+    """Cached arrays and the propagation kernels for one (sys, grid) pair,
+    on C-ordered channel-major (2, n) psi blocks, ground row first."""
 
     def __init__(self, sys: CoupledSystem, grid: RadialGrid,
                  tol: float, margin: float, v_cap: float = None):
@@ -128,21 +132,21 @@ class _Engine:
             v_cap = (max(sys.ground.asymptote, sys.excited.asymptote)
                      + grid.k_max**2 / (2.0 * grid.mu))
         self.cap = v_cap
-        self.vg = np.minimum(sys.ground.value(grid.r), v_cap)
-        self.ve = np.minimum(sys.excited.value(grid.r), v_cap)
+        self.v = np.minimum(np.stack([sys.ground.value(grid.r),
+                                      sys.excited.value(grid.r)]), v_cap)
+        self.sqrt_j = np.sqrt(grid.jac)
         self.w_peak = sys.coupling
         # dense kinetic matvec wins below a few hundred points
-        self.h_dense = self._dense_hamiltonian() if grid.n <= 256 else None
-        self._rj = np.repeat(np.sqrt(grid.jac), 2)  # channels interleaved
-        self._diag = np.arange(2 * grid.n)
-        self._scaled, self._scaled_key = None, None
-        self._prescaled, self._prescaled_key = None, None
+        self.h_dense = (block_diag(*(hamiltonian_matrix(v, grid)
+                                     for v in self.v))
+                        if grid.n <= 256 else None)
+        self._op, self._op_key = None, None
         self._coef_cache: dict[float, np.ndarray] = {}
         self.bound_matvecs = 0
         self.kinetic_s = 0.0      # _top's FFT applications add to it
         w_max = sys.coupling * sys.envelope.flat_value
         self.lambda_max = self._top(w_max)
-        lo = float(min(self.vg.min(), self.ve.min())) - w_max
+        lo = float(self.v.min()) - w_max
         pad = margin * (self.lambda_max - lo)
         self.e_lo, self.e_hi = lo - pad, self.lambda_max + pad
         self.e_mid = 0.5 * (self.e_hi + self.e_lo)
@@ -154,34 +158,43 @@ class _Engine:
         self.series_s = 0.0
         self.kinetic_s = 0.0      # the Lanczos applications are not steps
 
-    def _dense_hamiltonian(self) -> np.ndarray:
-        """Uncoupled phi-representation H as one real symmetric 2n x 2n
-        matrix, channels interleaved (2i ground, 2i+1 excited at node i),
-        so a C-ordered (n, 2) pair is a 2n vector without a copy."""
-        h = np.zeros((2 * self.grid.n,) * 2)
-        h[0::2, 0::2] = hamiltonian_matrix(self.vg, self.grid)
-        h[1::2, 1::2] = hamiltonian_matrix(self.ve, self.grid)
-        return h
+    def _operator(self, w_eff: float, shift: float, scale: float):
+        """scale (H(w_eff) - shift) as one operator, built once per
+        (shift, scale, path) and kept until the next call.
 
-    def _fft_operator(self, w_eff: float, shift: float, scale: float):
-        """apply(x, out): out = scale (H(w_eff) - shift) x on a C-ordered
-        channel-major (2, n) block x of psi values, real or complex.
+        Dense path (``h_dense`` set): ``partial(np.matmul, M)`` with M the
+        real symmetric 2n x 2n phi-representation matrix, block-diagonal in
+        the channels, the coupling w_eff scale at (i, i + n) and (i + n, i);
+        it acts on a channel-major phi = sqrt(J) psi block, as a 2n vector
+        or its real (2n, 2) [re, im] view. A new w_eff rewrites only those
+        2n entries.
 
-        The kinetic part is :func:`grids._mapped_gram` with ``scale``
-        folded into its row scale, then divided by J; the potentials are
-        one (2, n) diagonal (V - shift) scale, and the coupling the scalar
-        w_eff scale on the channel-swapped rows. The arrays are kept for
-        one (shift, scale) and rebuilt when it changes. Time in the FFT
-        convolutions goes to kinetic_s.
+        FFT path: apply(x, out) writes it for a channel-major (2, n) block x
+        of psi values, real or complex. The kinetic part is
+        :func:`grids._mapped_gram` with ``scale`` folded into its row scale,
+        then divided by J; the potentials are one (2, n) diagonal
+        (V - shift) scale, and the coupling the scalar w_eff scale on the
+        channel-swapped rows. Time in the FFT convolutions goes to
+        kinetic_s.
         """
-        key = (shift, scale)
-        conv = self.grid._convolution
-        if self._prescaled_key != key:
-            self._prescaled = (conv[4] * scale,
-                               (np.stack([self.vg, self.ve]) - shift) * scale)
-            self._prescaled_key = key
-        row, diag = self._prescaled
-        inv_j, ws = conv[3], w_eff * scale
+        dense = self.h_dense is not None
+        key = (shift, scale, dense)
+        if self._op_key != key:
+            if dense:
+                m = self.h_dense * scale
+                m[np.diag_indices_from(m)] -= shift * scale
+                self._op = m
+            else:
+                self._op = (self.grid._convolution[4] * scale,
+                            (self.v - shift) * scale)
+            self._op_key = key
+        if dense:
+            n, m = self.grid.n, self._op
+            np.fill_diagonal(m[:n, n:], w_eff * scale)
+            np.fill_diagonal(m[n:, :n], w_eff * scale)
+            return partial(np.matmul, m)
+        row, diag = self._op
+        inv_j, ws = self.grid._convolution[3], w_eff * scale
 
         def apply(x, out):
             t0 = time.perf_counter()
@@ -196,45 +209,26 @@ class _Engine:
 
     def _top(self, w: float) -> float:
         """Largest eigenvalue of H at coupling w, by Lanczos (ARPACK) on
-        the symmetric phi representation: the dense matrix, or the FFT
-        operator (shift 0, scale 1) conjugated by sqrt(J). Vectors keep
-        the channels interleaved on both paths. Operator applications go
-        to bound_matvecs."""
+        the symmetric phi representation: :meth:`_operator` at shift 0 and
+        scale 1, conjugated by sqrt(J) on the FFT path. Vectors are
+        channel-major 2n vectors of phi. Operator applications go to
+        bound_matvecs."""
         n = self.grid.n
-        if self.h_dense is None:
-            h_op = self._fft_operator(w, 0.0, 1.0)
-            sq = np.sqrt(self.grid.jac)
+        h_op = self._operator(w, 0.0, 1.0)
 
         def matvec(x):
             self.bound_matvecs += 1
-            x = x.reshape(n, 2)
             if self.h_dense is not None:
-                return self.h_dense @ x.ravel() + w * x[:, ::-1].ravel()
-            psi = np.ascontiguousarray(x.T) / sq
-            return (h_op(psi, np.empty_like(psi)) * sq).T.ravel()
+                return h_op(x)
+            psi = x.reshape(2, n) / self.sqrt_j
+            return (h_op(psi, np.empty_like(psi)) * self.sqrt_j).ravel()
 
         op = LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float)
+        # a fixed start vector, drawn in (node, channel) order, so the
+        # measured top and bound_matvecs repeat from run to run
         v0 = np.random.default_rng(0).standard_normal(2 * n)
-        return float(eigsh(op, k=1, which="LA", v0=v0, tol=1e-6,
-                           return_eigenvectors=False)[0])
-
-    def _scaled_dense(self, w_eff: float) -> np.ndarray:
-        """2 A = 2 (H(w_eff) - e_mid) / half_span as a real 2n x 2n
-        matrix; the factor 2 of the Chebyshev recurrence is folded in.
-
-        One buffer per (e_mid, half_span): later calls overwrite only the
-        2n coupling entries, so the matrix returned is valid until the
-        next call.
-        """
-        key = (self.e_mid, self.half_span)
-        inv = 2.0 / self.half_span
-        if self._scaled_key != key:
-            a = self.h_dense * inv
-            a[self._diag, self._diag] -= self.e_mid * inv
-            self._scaled, self._scaled_key = a, key
-        # couples the two channels of a node
-        self._scaled[self._diag, self._diag ^ 1] = w_eff * inv
-        return self._scaled
+        return float(eigsh(op, k=1, which="LA", v0=v0.reshape(n, 2).T.ravel(),
+                           tol=1e-6, return_eigenvectors=False)[0])
 
     def _coefficients(self, alpha: float) -> np.ndarray:
         """Real b_k of the series c_k = 2 J_k(alpha) (-i)^k (c_0 halved):
@@ -257,11 +251,11 @@ class _Engine:
 
     def _series(self, x: np.ndarray, dt: float, apply2a) -> np.ndarray:
         """exp(-i H dt) psi = e^{-i e_mid dt} sum_k c_k T_k(A) psi, with
-        A = (H - e_mid) / half_span and apply2a(cur, out=nxt) writing
-        2 A cur into nxt: on the dense path x is the real (2n, 2) [re, im]
-        view of phi and 2 A one matmul with :meth:`_scaled_dense`; on the
-        FFT path x is the complex (2, n) psi block and 2 A the
-        :meth:`_fft_operator` at (e_mid, 2 / half_span).
+        A = (H - e_mid) / half_span and apply2a(cur, out=nxt) the
+        :meth:`_operator` at (e_mid, 2 / half_span), writing 2 A cur into
+        nxt. x is the channel-major state: on the dense path the real
+        (2n, 2) [re, im] view of the phi block, on the FFT path the complex
+        (2, n) psi block.
 
         A is real, so the even terms (real c_k) and the odd ones
         (imaginary c_k) gather in two accumulators of x's type, combined
@@ -295,50 +289,51 @@ class _Engine:
             even, odd = even.view(complex), odd.view(complex)
         return (even + 1j * odd) * np.exp(-1j * self.e_mid * dt)
 
-    def step(self, pair: np.ndarray, dt: float, f_mid: float) -> np.ndarray:
-        """exp(-i H(f_mid) dt) applied to an (n, 2) channel pair; the
-        wall time goes to series_s."""
+    def step(self, psi: np.ndarray, dt: float, f_mid: float) -> np.ndarray:
+        """exp(-i H(f_mid) dt) applied to a channel-major (2, n) block;
+        the wall time goes to series_s. The dense path runs the series on
+        phi = sqrt(J) psi, so sqrt(J) is applied once per step."""
         t0 = time.perf_counter()
-        w_eff = self.w_peak * f_mid
+        psi = np.ascontiguousarray(psi, dtype=complex)
+        op = self._operator(self.w_peak * f_mid, self.e_mid,
+                            2.0 / self.half_span)
         if self.h_dense is None:
-            psi = np.ascontiguousarray(pair.T, dtype=complex)
-            op = self._fft_operator(w_eff, self.e_mid, 2.0 / self.half_span)
-            out = self._series(psi, dt, op).T
+            out = self._series(psi, dt, op)
         else:
-            phi = (np.ascontiguousarray(pair, dtype=complex).reshape(-1)
-                   * self._rj)
-            out = self._series(phi.view(float).reshape(-1, 2), dt,
-                               partial(np.matmul, self._scaled_dense(w_eff)))
-            out = (out.reshape(-1) / self._rj).reshape(pair.shape)
+            phi = (psi * self.sqrt_j).view(float).reshape(-1, 2)
+            out = self._series(phi, dt, op).reshape(psi.shape) / self.sqrt_j
         self.series_s += time.perf_counter() - t0
         return out
 
-    def steps(self, pair: np.ndarray, dt: float, f_mid: np.ndarray,
+    def steps(self, psi: np.ndarray, dt: float, f_mid: np.ndarray,
               const: bool):
-        """Yield the state after each step of an interval with envelope
-        values f_mid at the step midpoints: Chebyshev steps, except on a
-        constant interval of the dense path, which is exact from one
-        eigendecomposition H(f) = V diag(E) V^T, c = V^T phi, phi = V c."""
+        """Yield the (2, n) state after each step of an interval with
+        envelope values f_mid at the step midpoints: Chebyshev steps,
+        except on a constant interval of the dense path, which is exact
+        from one eigendecomposition of the :meth:`_operator` matrix,
+        2 A = V diag(lam) V^T, c = V^T phi, phi = V c."""
         if not const or self.h_dense is None:
             for f in f_mid:
-                pair = self.step(pair, dt, f)
-                yield pair
+                psi = self.step(psi, dt, f)
+                yield psi
             return
         # eigenvalues of 2 A are 2 (E - e_mid) / half_span: both paths
         # propagate the same operator
-        lam, v = np.linalg.eigh(self._scaled_dense(self.w_peak * f_mid[0]))
+        op = self._operator(self.w_peak * f_mid[0], self.e_mid,
+                            2.0 / self.half_span)
+        lam, v = np.linalg.eigh(op.args[0])
         self.eigensolves += 1
         dev = float(np.abs(v.T @ v - np.eye(len(v))).max())
         self.eigen_orthogonality = max(self.eigen_orthogonality, dev)
         phase = np.exp(-1j * (self.e_mid + 0.5 * self.half_span * lam) * dt)
-        phi = np.ascontiguousarray(pair, dtype=complex).reshape(-1) * self._rj
+        phi = np.ascontiguousarray(psi, dtype=complex) * self.sqrt_j
         c = (v.T @ phi.view(float).reshape(-1, 2)).view(complex)[:, 0]
-        v /= self._rj[:, None]              # so that V c is psi
+        v /= np.tile(self.sqrt_j, 2)[:, None]       # so that V c is psi
         for _ in f_mid:
             c *= phase
             # a C-ordered real (2n, 2) [re, im] array is a complex 2n vector
             psi = (v @ c.view(float).reshape(-1, 2)).view(complex)
-            yield psi.reshape(pair.shape)
+            yield psi.reshape(phi.shape)
 
 
 def step(sys: CoupledSystem, grid: RadialGrid, state: TwoChannelState,
@@ -350,8 +345,8 @@ def step(sys: CoupledSystem, grid: RadialGrid, state: TwoChannelState,
     eng = _Engine(sys, grid, tol, margin, v_cap)
     if f is None:
         f = float(sys.envelope.value(state.t + 0.5 * dt))
-    pair = eng.step(np.column_stack([state.g, state.e]), dt, f)
-    return TwoChannelState(grid, pair[:, 0], pair[:, 1], state.t + dt)
+    psi = eng.step(np.array([state.g, state.e]), dt, f)
+    return TwoChannelState(grid, *psi, state.t + dt)
 
 
 # TimeSeries.meta entries that are wall-clock seconds, so differ between
@@ -416,17 +411,17 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
             f"initial state norm {initial.norm():.8f} is not 1"
         )
     eng = _Engine(sys, grid, plan.cheb_tol, plan.spectral_margin, plan.v_cap)
-    pair = np.column_stack([initial.g, initial.e]).astype(complex)
+    psi = np.array([initial.g, initial.e], dtype=complex)
     t = plan.t_start
 
     def pops(p):
-        return grid.w @ (p.real ** 2 + p.imag ** 2)
+        return (p.real ** 2 + p.imag ** 2) @ grid.w
 
-    rec_t, rec_p = [t], [pops(pair)]
+    rec_t, rec_p = [t], [pops(psi)]
     snaps = []
     want = set(float(x) for x in plan.snapshots)
     if t in want:
-        snaps.append(TwoChannelState(grid, *pair.T.copy(), t))
+        snaps.append(TwoChannelState(grid, *psi, t))
 
     knots = _knot_times(sys, plan)
     for ta, tb in zip(knots[:-1], knots[1:]):
@@ -439,13 +434,13 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
             f_mid = np.full(n_steps, sys.envelope.value(0.5 * (ta + tb)))
         else:
             f_mid = sys.envelope.value(ta + (np.arange(n_steps) + 0.5) * dt)
-        for pair in eng.steps(pair, dt, f_mid, const):
+        for psi in eng.steps(psi, dt, f_mid, const):
             t += dt
-            rec_t.append(t); rec_p.append(pops(pair))
+            rec_t.append(t); rec_p.append(pops(psi))
         t = tb    # kill accumulated rounding at the knot
         rec_t[-1] = t
         if any(abs(t - s) < 1e-9 for s in want):
-            snaps.append(TwoChannelState(grid, *pair.T.copy(), t))
+            snaps.append(TwoChannelState(grid, *psi, t))
 
     meta = {
         "e_lo": eng.e_lo, "e_hi": eng.e_hi, "v_cap": eng.cap,

@@ -4,7 +4,8 @@ Levels are solved in the transformed (phi) representation where the grid
 Hamiltonian is a plain symmetric matrix; returned wavefunctions are psi
 values normalized against the grid quadrature weights, each with a fixed
 sign, so a full and a windowed solve return the same columns. The
-continuum start solves only the window up to its upper neighbour.
+continuum start solves the window up to its upper neighbour, and the full
+spectrum only where that window misses it.
 """
 
 from __future__ import annotations
@@ -171,30 +172,28 @@ class ContinuumRef:
 
 
 def continuum_state(curve, grid: RadialGrid, e_target: float) -> ContinuumRef:
-    """Box eigenstate nearest e_target above the channel asymptote, from a
-    windowed ``solve_levels`` that stops just above its upper neighbour.
+    """Box eigenstate nearest e_target above the channel asymptote, in at
+    most two eigensolves.
 
-    e_target is measured absolutely (same origin as the curve). The window
-    top lies m = 4 free-box spacings pi / L above the target's wavenumber;
-    where levels are sparser than the free box's (near threshold, or near
-    the grid's top), m doubles until the window holds the upper neighbour
-    or every level. dE/dn is the centered difference over the neighboring
-    box levels. The state is a copy of its column.
+    e_target is measured absolutely (same origin as the curve). The first
+    ``solve_levels`` window tops out 4 free-box spacings pi / L above the
+    target's wavenumber; where levels are sparser than the free box's
+    (near threshold, or near the grid's top) and that window misses the
+    upper neighbour, the full spectrum is solved instead. dE/dn is the
+    centered difference over the neighboring box levels. The state is a
+    copy of its column.
     """
     asym = float(getattr(curve, "asymptote", 0.0))
-    k_t = math.sqrt(2.0 * grid.mu * max(e_target - asym, 0.0))
-    m = 4
-    while True:
-        k_hi = k_t + m * np.pi / (grid.r_hi - grid.r_lo)
-        levels = solve_levels(curve, grid,
-                              window=(-np.inf, asym + k_hi**2 / (2 * grid.mu)))
+    k_hi = (math.sqrt(2.0 * grid.mu * max(e_target - asym, 0.0))
+            + 4 * np.pi / (grid.r_hi - grid.r_lo))
+    for window in ((-np.inf, asym + k_hi**2 / (2 * grid.mu)), None):
+        levels = solve_levels(curve, grid, window=window)
         evals = levels.energies
         above = np.nonzero(evals > asym)[0]
         j = (above[np.argmin(np.abs(evals[above] - e_target))]
              if len(above) else -1)
         if len(evals) == grid.n or 0 <= j < len(evals) - 1:
             break
-        m *= 2
     # the window holds every bound level, since its top is above asym
     if grid.n - (len(evals) - len(above)) < 3:
         raise ResolutionError(

@@ -19,7 +19,6 @@ def test_defaults_fill_every_section():
     assert cfg["propagation.dt_flat_ps"] == 0.5
     assert cfg["initial.kind"] == "continuum"
     assert cfg["analysis.detunings_cm"] == (67.4, 70.0)
-    assert cfg["run.label"] == "run"
     assert cfg.text == MINIMAL
 
 
@@ -31,8 +30,8 @@ def test_unknown_section_rejected():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="grid.points"):
         RunConfig.parse(MINIMAL + "[grid]\npoints = 12\n")
-    with pytest.raises(ConfigError, match="run.seed"):
-        RunConfig.parse(MINIMAL + "[run]\nseed = 0\n")
+    with pytest.raises(ConfigError, match="initial.seed"):
+        RunConfig.parse(MINIMAL + "[initial]\nseed = 0\n")
 
 
 def test_bad_value_names_its_path():
@@ -87,9 +86,9 @@ def test_boolean_style_values_rejected_where_float():
 
 def test_load_round_trip(tmp_path):
     p = tmp_path / "run.ini"
-    p.write_text(MINIMAL + "[run]\nlabel = demo\n", encoding="utf-8")
+    p.write_text(MINIMAL + "[grid]\nn = 600\n", encoding="utf-8")
     cfg = RunConfig.load(str(p))
-    assert cfg["run.label"] == "demo"
+    assert cfg["grid.n"] == 600
     assert cfg["system.coupling_cm"] == 13.17
 
 

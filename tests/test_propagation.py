@@ -183,11 +183,11 @@ def test_midpoint_freezing_is_second_order():
 def test_norm_conserved_over_many_steps():
     sys_, grid, init = _offset_pair()
     eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
-    pair = np.column_stack([init.g, init.e]).astype(complex)
-    n0 = np.sqrt(np.sum(np.abs(pair) ** 2 * grid.w[:, None]))
+    pair = np.stack([init.g, init.e]).astype(complex)
+    n0 = np.sqrt(np.sum(np.abs(pair) ** 2 * grid.w))
     for _ in range(1000):
         pair = eng.step(pair, 0.02 * ps2au, 1.0)
-    n1 = np.sqrt(np.sum(np.abs(pair) ** 2 * grid.w[:, None]))
+    n1 = np.sqrt(np.sum(np.abs(pair) ** 2 * grid.w))
     assert abs(n1 - n0) < 1e-11
 
 
@@ -228,7 +228,7 @@ def test_runaway_recurrence_is_caught():
     sys_, grid, init = _offset_pair()
     eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
     eng.half_span *= 0.15
-    pair = np.column_stack([init.g, init.e]).astype(complex)
+    pair = np.stack([init.g, init.e]).astype(complex)
     with pytest.raises(SpectralBoundsError):
         eng.step(pair, 60.0 / eng.half_span, 1.0)
 
@@ -238,7 +238,7 @@ def test_runaway_recurrence_is_caught_on_fft_path():
     sys_, grid, init = _offset_pair()
     eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
     eng.h_dense = None
-    pair = np.column_stack([init.g, init.e]).astype(complex)
+    pair = np.stack([init.g, init.e]).astype(complex)
     eng.step(pair, 0.02 * ps2au, 1.0)
     eng.half_span *= 0.15
     with pytest.raises(SpectralBoundsError):
@@ -256,8 +256,8 @@ def test_eigen_path_matches_chebyshev_kernels(mapping, n, dt_ps):
     if mapping == "adaptive":
         grid = build_grid(sys_, n, 3.0, 12.0, kind=mapping)
     assert grid.kind == mapping and grid.n == n
-    pair = np.column_stack([gaussian(grid, 6.0, 0.44),
-                            np.zeros(grid.n)]).astype(complex)
+    pair = np.stack([gaussian(grid, 6.0, 0.44),
+                     np.zeros(grid.n)]).astype(complex)
     eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
     fft = _Engine(sys_, grid, tol=1e-14, margin=0.05)
     fft.h_dense = None
@@ -386,8 +386,8 @@ def test_measured_bounds_and_orders_repeat_exactly():
 def _adaptive_300():
     sys_, _, _ = _offset_pair()
     grid = build_grid(sys_, 300, 3.0, 12.0, kind="adaptive")
-    pair = np.column_stack([gaussian(grid, 6.0, 0.44),
-                            0.5 * gaussian(grid, 6.5, 0.6)]).astype(complex)
+    pair = np.stack([gaussian(grid, 6.0, 0.44),
+                     0.5 * gaussian(grid, 6.5, 0.6)]).astype(complex)
     return sys_, grid, pair
 
 
@@ -401,16 +401,16 @@ def test_fft_step_matches_exact_propagator(f):
     dt = 0.002 * ps2au
     evals, vecs = np.linalg.eigh(_coupled_h(sys_, grid, eng.cap, f))
     rj = np.sqrt(grid.jac)
-    phi = (pair * rj[:, None]).T.ravel()
+    phi = (pair * rj).ravel()
     out = vecs @ (np.exp(-1j * evals * dt) * (vecs.T @ phi))
-    exact = out.reshape(2, grid.n).T / rj[:, None]
+    exact = out.reshape(2, grid.n) / rj
     np.testing.assert_allclose(eng.step(pair, dt, f), exact, rtol=0,
                                atol=1e-11)
 
 
 def test_meta_times_the_series_and_the_kinetic_step():
     sys_, grid, pair = _adaptive_300()
-    init = TwoChannelState(grid, pair[:, 0], pair[:, 1])
+    init = TwoChannelState(grid, pair[0], pair[1])
     init = TwoChannelState(grid, init.g / init.norm(), init.e / init.norm())
     plan = PropagationPlan.from_ps(t_start=0.0, t_end=0.004, dt_ramp=0.002)
     meta = propagate(sys_, grid, plan, init).meta

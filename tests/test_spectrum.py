@@ -154,10 +154,10 @@ def test_continuum_state_matches_full_spectrum(monkeypatch):
         return windowed(*args, **kwargs)
 
     monkeypatch.setattr(spectrum, "solve_levels", counted)
-    # three thermal targets (kT = 7.6e-5 1/cm at 0.11 mK), then one high
+    # three thermal targets (kT = 7.6e-5 1/cm at 0.11 mK), then three high
     # above threshold, where the grid levels are sparser than the free box
     # and the first window misses the upper neighbour
-    for e_cm in (3e-5, 1e-4, 5e-4, 1000.0):
+    for e_cm in (3e-5, 1e-4, 5e-4, 1000.0, 1e4, 1e5):
         solves.clear()
         target = ground.asymptote + convert(e_cm, "cm-1", "hartree")
         ref = continuum_state(ground, grid, target)
@@ -173,6 +173,8 @@ def test_continuum_state_matches_full_spectrum(monkeypatch):
         assert ref.de_dn == pytest.approx(de_dn, abs=1e-12 * scale)
         np.testing.assert_allclose(ref.state, full.state(j),
                                    atol=1e-10 * np.max(np.abs(ref.state)))
+        # one window, and the full spectrum where it misses
+        assert len(solves) <= 2
     assert len(solves) > 1
     monkeypatch.undo()
     # a window returns the same columns, signs included, as the full solve

@@ -199,10 +199,14 @@ def cmd_analyze(args, cfg: RunConfig):
     spec = to_momentum(grid, last.g)
     peaks = find_momentum_peaks(spec, k_min=av["k_min"],
                                 floor_sigmas=av["k_floor_sigmas"])
+    try:
+        rc = find_crossing(system)
+    except ColdpaError:
+        rc = None       # then each inversion below fails as it would alone
     peak_rows = []
     for p in peaks:
         try:
-            r0 = radius_from_momentum(system, p.k)
+            r0 = radius_from_momentum(system, p.k, rc=rc)
         except ColdpaError:
             r0 = None
         gap_cm = convert(p.k**2 / (2.0 * system.mu), "hartree", "cm-1")

@@ -257,7 +257,8 @@ class RunConfig:
         """(state, info): ground-channel start and how it was made.
 
         info carries the stationary energy and, for the continuum kind,
-        the local level spacing dE/dn needed by the thermal chain.
+        the local level spacing dE/dn needed by the thermal chain and the
+        eigenpair's relative residual (see :class:`ContinuumRef`).
         """
         iv = self.values["initial"]
         kind = iv["kind"]
@@ -285,4 +286,5 @@ class RunConfig:
         amp = ref.state.astype(complex)
         state = TwoChannelState(grid, amp, np.zeros_like(amp), t0)
         return state, {"kind": kind, "e_g": ref.energy,
-                       "de_dn": ref.de_dn, "e_above": ref.e_above}
+                       "de_dn": ref.de_dn, "e_above": ref.e_above,
+                       "residual": ref.residual}

@@ -94,17 +94,20 @@ def momentum_at_radius(sys: CoupledSystem, r) -> np.ndarray:
 
 
 def radius_from_momentum(sys: CoupledSystem, k: float,
-                         check_cm: float = 0.5) -> float:
+                         check_cm: float = 0.5, rc: float = None) -> float:
     """Invert k = sqrt(2 mu (Ve - Vg)) on the outer branch r > r_crossing.
 
     The gap grows monotonically toward its asymptotic value out there, so
     the root is unique when it exists. The returned radius is verified by
-    a forward evaluation to within check_cm (in wavenumber units).
+    a forward evaluation to within check_cm (in wavenumber units). rc is
+    the outermost crossing, located by ``find_crossing`` when not given;
+    pass it to invert many momenta of one system.
     """
     from .potentials import find_crossing
 
     e_target = float(k) ** 2 / (2.0 * sys.mu)
-    rc = find_crossing(sys)
+    if rc is None:
+        rc = find_crossing(sys)
     r_hi = sys.working_range[1]
     gap = lambda r: (sys.excited.value(r) - sys.ground.value(r)) - e_target
     lo = rc * (1.0 + 1e-6)
@@ -175,12 +178,29 @@ class HoleReport:
 def _smooth_density(grid: RadialGrid, amp: np.ndarray,
                     width: float) -> np.ndarray:
     """Gaussian kernel average of |amp|^2, correct on nonuniform grids;
-    each column of a 2-D amp is smoothed with the same kernel."""
+    each column of a 2-D amp is smoothed with the same kernel.
+
+    Kernel entries beyond 40 widths, where exp(-800) underflows to 0, are
+    skipped: each block of rows forms only the columns within 40 widths
+    of it, so no n x n array is built.
+    """
     rho = np.abs(amp) ** 2
-    dr = grid.r[:, None] - grid.r[None, :]
-    kern = np.exp(-0.5 * (dr / width) ** 2)
-    wk = kern * grid.w[None, :]
-    return ((wk @ rho).T / np.sum(wk, axis=1)).T
+    r = grid.r
+    lo = np.searchsorted(r, r - 40.0 * width)
+    hi = np.searchsorted(r, r + 40.0 * width, side="right")
+    out = np.empty_like(rho)
+    for i0 in range(0, grid.n, 128):
+        rows = slice(i0, min(i0 + 128, grid.n))
+        cols = slice(lo[i0], hi[rows.stop - 1])
+        # one array per block, in place
+        wk = np.subtract.outer(r[rows], r[cols])
+        wk /= width
+        wk *= wk
+        wk *= -0.5
+        np.exp(wk, out=wk)
+        wk *= grid.w[cols]
+        out[rows] = ((wk @ rho[cols]).T / np.sum(wk, axis=1)).T
+    return out
 
 
 def detect_hole(grid: RadialGrid, amp_before: np.ndarray,

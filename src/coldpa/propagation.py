@@ -141,6 +141,7 @@ class _Engine:
                                      for v in self.v))
                         if grid.n <= 256 else None)
         self._op, self._op_key = None, None
+        self._eigen, self._eigen_key = None, None
         self._coef_cache: dict[float, np.ndarray] = {}
         self.bound_matvecs = 0
         self.kinetic_s = 0.0      # _top's FFT applications add to it
@@ -311,29 +312,37 @@ class _Engine:
         envelope values f_mid at the step midpoints: Chebyshev steps,
         except on a constant interval of the dense path, which is exact
         from one eigendecomposition of the :meth:`_operator` matrix,
-        2 A = V diag(lam) V^T, c = V^T phi, phi = V c."""
+        2 A = V diag(lam) V^T, c = V^T phi, phi = V c. The last
+        decomposition is kept while (f, e_mid, half_span) is unchanged,
+        so snapshots that split a constant interval add no eigensolve."""
         if not const or self.h_dense is None:
             for f in f_mid:
                 psi = self.step(psi, dt, f)
                 yield psi
             return
-        # eigenvalues of 2 A are 2 (E - e_mid) / half_span: both paths
-        # propagate the same operator
-        op = self._operator(self.w_peak * f_mid[0], self.e_mid,
-                            2.0 / self.half_span)
-        lam, v = np.linalg.eigh(op.args[0])
-        self.eigensolves += 1
-        dev = float(np.abs(v.T @ v - np.eye(len(v))).max())
-        self.eigen_orthogonality = max(self.eigen_orthogonality, dev)
+        key = (f_mid[0], self.e_mid, self.half_span)
+        if self._eigen_key != key:
+            self._eigen = None      # freed before the next one is built
+            # eigenvalues of 2 A are 2 (E - e_mid) / half_span: both paths
+            # propagate the same operator
+            op = self._operator(self.w_peak * f_mid[0], self.e_mid,
+                                2.0 / self.half_span)
+            lam, v = np.linalg.eigh(op.args[0])
+            self.eigensolves += 1
+            dev = float(np.abs(v.T @ v - np.eye(len(v))).max())
+            self.eigen_orthogonality = max(self.eigen_orthogonality, dev)
+            v /= np.tile(self.sqrt_j, 2)[:, None]   # so that V c is psi
+            self._eigen, self._eigen_key = (lam, v), key
+        lam, v = self._eigen
         phase = np.exp(-1j * (self.e_mid + 0.5 * self.half_span * lam) * dt)
-        phi = np.ascontiguousarray(psi, dtype=complex) * self.sqrt_j
-        c = (v.T @ phi.view(float).reshape(-1, 2)).view(complex)[:, 0]
-        v /= np.tile(self.sqrt_j, 2)[:, None]       # so that V c is psi
+        # c = V^T phi, with V now divided by sqrt(J) and phi = sqrt(J) psi
+        jpsi = np.ascontiguousarray(psi, dtype=complex) * self.grid.jac
+        c = (v.T @ jpsi.view(float).reshape(-1, 2)).view(complex)[:, 0]
         for _ in f_mid:
             c *= phase
             # a C-ordered real (2n, 2) [re, im] array is a complex 2n vector
             psi = (v @ c.view(float).reshape(-1, 2)).view(complex)
-            yield psi.reshape(phi.shape)
+            yield psi.reshape(jpsi.shape)
 
 
 def step(sys: CoupledSystem, grid: RadialGrid, state: TwoChannelState,

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
-from coldpa import cli
+from coldpa import cli, potentials
 from coldpa.cli import main
 from coldpa.config import RunConfig
+from coldpa.errors import ColdpaError
 from coldpa.impulsive import predict_k_peaks
 from coldpa.io import load_state, peaks_to_json, read_csv, read_json
+from coldpa.observables import radius_from_momentum
 from coldpa.grids import build_uniform
 from coldpa.units import mu_cs2
 
@@ -109,7 +111,10 @@ def test_propagate_outputs_are_reproducible(tmp_path):
 def test_propagate_manifest_records_the_run(tmp_path):
     rc, out = _propagate(tmp_path, "meta")
     assert rc == 0
-    run = read_json(os.path.join(out, "manifest.json"))["propagation"]
+    man = read_json(os.path.join(out, "manifest.json"))
+    # the continuum start's eigenpair residual, relative to max|H_ii|
+    assert 0.0 <= man["initial"]["residual"] <= 1e-10
+    run = man["propagation"]
     # the measured spectral top sits inside the declared interval
     assert run["e_lo"] < run["lambda_max"] < run["e_hi"]
     assert run["bound_matvecs"] > 0
@@ -129,16 +134,38 @@ def test_propagate_manifest_times_each_phase(tmp_path):
     assert 0.0 < run["kinetic_s"] <= run["series_s"] <= timings["propagate_s"]
 
 
-def test_analyze_after_propagate(tmp_path):
+def test_analyze_after_propagate(tmp_path, monkeypatch):
     rc, run_dir = _propagate(tmp_path, "run")
     assert rc == 0
     cfg = _config(tmp_path, FAST_GRID
                   + "[propagation]\nt_end_ps = 2\nsnapshots_ps = 1\n"
                   + "[initial]\nkind = continuum\nenergy_cm = 3.5e-5\n")
     out = str(tmp_path / "ana")
+    scans = []
+    locate = potentials.find_crossing
+
+    def counted(*args, **kwargs):
+        scans.append(1)
+        return locate(*args, **kwargs)
+
+    monkeypatch.setattr(potentials, "find_crossing", counted)
+    monkeypatch.setattr(cli, "find_crossing", counted)
+    system = RunConfig.load(cfg).build_system()
+    calibration = len(scans)
     assert main(["analyze", "--config", cfg, "--run", run_dir,
                  "--out", out, "--quiet"]) == 0
+    monkeypatch.undo()
     rep = read_json(os.path.join(out, "analysis.json"))
+    # past the calibration, one crossing scan serves every peak, and each
+    # radius is the one the peak's own inversion gives
+    peaks = rep["momentum_peaks"]
+    assert len(peaks) > 1 and len(scans) == 2 * calibration + 1
+    for p in peaks:
+        try:
+            r0 = radius_from_momentum(system, p["k"])
+        except ColdpaError:
+            r0 = None
+        assert p["r_source_bohr"] == r0
     assert rep["t_ps"] == pytest.approx(2.0)
     assert rep["populations"]["norm"] == pytest.approx(1.0, abs=1e-8)
     assert 0.0 <= rep["bound_fraction_e"] < 0.5

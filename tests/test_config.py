@@ -189,4 +189,5 @@ def test_initial_continuum(default_sys):
     assert info["e_g"] > default_sys.ground.asymptote
     target = convert(3.5e-5, "cm-1", "hartree")
     assert info["e_above"] == pytest.approx(target, abs=2 * info["de_dn"])
+    assert 0.0 <= info["residual"] <= 1e-10
     assert state.norm() == pytest.approx(1.0, rel=1e-10)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from coldpa.errors import DomainError, GridMismatchError
-from coldpa.grids import MomentumSpectrum, build_uniform, gaussian
+from coldpa.grids import (MomentumSpectrum, build_grid, build_uniform,
+                          gaussian)
 from coldpa.observables import (ThermalYield, bound_fraction,
                                 continuum_fraction, detect_hole,
                                 find_momentum_peaks, level_populations,
@@ -177,6 +178,24 @@ def test_smoothing_preserves_constants():
     grid = build_uniform(2.0, 200.0, 256, 121135.9)
     sm = _smooth_density(grid, np.ones(grid.n), 2.0)
     np.testing.assert_allclose(sm, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("width", [0.25, 2.0])
+def test_smoothing_matches_the_dense_kernel(analog, width):
+    # the banded row blocks against the full n x n kernel, on a grid whose
+    # spacing varies and whose box spans 29 or 232 widths
+    grid = build_grid(analog, 420, 2.0, 60.0, kind="adaptive")
+    assert grid.kind == "adaptive"
+    rng = np.random.default_rng(3)
+    amp = rng.standard_normal((grid.n, 2)) + 1j * rng.standard_normal(
+        (grid.n, 2))
+    dr = grid.r[:, None] - grid.r[None, :]
+    wk = np.exp(-0.5 * (dr / width) ** 2) * grid.w[None, :]
+    dense = ((wk @ np.abs(amp) ** 2).T / np.sum(wk, axis=1)).T
+    np.testing.assert_allclose(_smooth_density(grid, amp, width), dense,
+                               rtol=1e-13, atol=0)
+    np.testing.assert_allclose(_smooth_density(grid, amp[:, 1], width),
+                               dense[:, 1], rtol=1e-13, atol=0)
 
 
 def test_hole_detected_in_notched_packet():

@@ -294,7 +294,7 @@ def test_ramp_only_plan_does_no_eigensolve():
 def test_flat_top_and_dark_tail_do_one_eigensolve_each():
     sys_, grid, init = _offset_pair()
     plan = PropagationPlan.from_ps(t_start=0.0, t_end=15.0, dt_ramp=0.005,
-                                   dt_flat=0.005)
+                                   dt_flat=0.005, snapshots=(15.0,))
     ts = propagate(sys_, grid, plan, init)
     meta = ts.meta
     assert len(ts.t) - 1 == 800 + 2000 + 200
@@ -303,6 +303,15 @@ def test_flat_top_and_dark_tail_do_one_eigensolve_each():
     assert meta["matvecs"] == 800 * meta["max_order"]
     assert meta["eigen_orthogonality"] < 1e-12
     assert ts.norm_drift() < 1e-10
+    # snapshots that split the f = 1 flat top reuse its decomposition
+    split = propagate(sys_, grid, PropagationPlan.from_ps(
+        t_start=0.0, t_end=15.0, dt_ramp=0.005, dt_flat=0.005,
+        snapshots=(4.0, 6.0, 8.0, 10.0, 15.0)), init)
+    assert split.meta["eigensolves"] == 2
+    assert len(split.t) == len(ts.t)
+    for a, b in ((split.final().g, ts.final().g),
+                 (split.final().e, ts.final().e)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def test_single_step_constant_interval_is_exact_too():

@@ -5,7 +5,7 @@ import pytest
 
 from coldpa import spectrum
 from coldpa.config import RunConfig
-from coldpa.errors import DomainError, ResolutionError
+from coldpa.errors import DomainError, NumericsError, ResolutionError
 from coldpa.grids import build_uniform, gaussian
 from coldpa.spectrum import (adiabatic_period, beat_period, continuum_state,
                              count_nodes, franck_condon, solve_levels,
@@ -134,6 +134,49 @@ def test_continuum_above_a_well():
     np.testing.assert_allclose(ref.state, full.state(j),
                                atol=1e-10 * np.max(np.abs(ref.state)))
     assert ref.state.base is None
+    # a fixed start vector: the same call gives the same bits
+    again = continuum_state(_morse, g, 0.001)
+    assert np.array_equal(again.state, ref.state)
+    assert (again.energy, again.de_dn) == (ref.energy, ref.de_dn)
+    # below threshold the level sought is the first continuum one
+    low = continuum_state(_morse, g, -0.009)
+    assert low.index == 9
+    assert low.energy == pytest.approx(full.energies[8], rel=1e-12)
+    assert low.de_dn == pytest.approx(
+        0.5 * (full.energies[9] - full.energies[7]), rel=1e-10)
+
+
+def test_continuum_widens_past_crowded_bound_levels(monkeypatch):
+    # a potential far above the kinetic scale (about 0.04 hartree here)
+    # sets the spectrum: 11 bound levels 1 hartree apart just below
+    # threshold, continuum levels 50 apart above it. The 6 levels nearest
+    # a target just above threshold are all bound, the 12 nearest end on
+    # the first continuum level, so only 24 hold it and both neighbours
+    g = build_uniform(2.0, 12.0, 64, MU)
+    table = np.where(np.arange(g.n) < 11, -1.0 - np.arange(g.n),
+                     50.0 * (np.arange(g.n) - 10))
+
+    def crowded(r):
+        return table
+
+    crowded.asymptote = 0.0
+    full = solve_levels(crowded, g)
+    asked = []
+    lanczos = spectrum.eigsh
+
+    def counted(op, k, **kwargs):
+        asked.append(k)
+        return lanczos(op, k, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigsh", counted)
+    ref = continuum_state(crowded, g, 1.0)
+    assert asked == [6, 12, 24]
+    assert ref.index == 12
+    assert ref.energy == pytest.approx(full.energies[11], rel=1e-12)
+    assert ref.de_dn == pytest.approx(
+        0.5 * (full.energies[12] - full.energies[10]), rel=1e-12)
+    np.testing.assert_allclose(ref.state, full.state(11),
+                               atol=1e-10 * np.max(np.abs(ref.state)))
 
 
 def test_continuum_state_matches_full_spectrum(monkeypatch):
@@ -146,19 +189,15 @@ def test_continuum_state_matches_full_spectrum(monkeypatch):
     grid = cfg.build_grid(sys_)
     ground = sys_.ground
     full = solve_levels(ground, grid)
-    solves = []
-    windowed = spectrum.solve_levels
 
-    def counted(*args, **kwargs):
-        solves.append(kwargs["window"])
-        return windowed(*args, **kwargs)
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("continuum_state ran a dense eigensolve")
 
-    monkeypatch.setattr(spectrum, "solve_levels", counted)
+    monkeypatch.setattr(spectrum, "eigh", no_eigensolve)
+    monkeypatch.setattr(spectrum, "solve_levels", no_eigensolve)
     # three thermal targets (kT = 7.6e-5 1/cm at 0.11 mK), then three high
     # above threshold, where the grid levels are sparser than the free box
-    # and the first window misses the upper neighbour
     for e_cm in (3e-5, 1e-4, 5e-4, 1000.0, 1e4, 1e5):
-        solves.clear()
         target = ground.asymptote + convert(e_cm, "cm-1", "hartree")
         ref = continuum_state(ground, grid, target)
         above = np.nonzero(full.energies > ground.asymptote)[0]
@@ -173,9 +212,7 @@ def test_continuum_state_matches_full_spectrum(monkeypatch):
         assert ref.de_dn == pytest.approx(de_dn, abs=1e-12 * scale)
         np.testing.assert_allclose(ref.state, full.state(j),
                                    atol=1e-10 * np.max(np.abs(ref.state)))
-        # one window, and the full spectrum where it misses
-        assert len(solves) <= 2
-    assert len(solves) > 1
+        assert 0.0 <= ref.residual <= 1e-10
     monkeypatch.undo()
     # a window returns the same columns, signs included, as the full solve
     hi = 0.5 * (full.energies[80] + full.energies[81])
@@ -185,18 +222,65 @@ def test_continuum_state_matches_full_spectrum(monkeypatch):
                                atol=1e-10 * np.max(np.abs(full.states)))
 
 
+def test_continuum_target_on_a_box_level(monkeypatch):
+    g = build_uniform(2.0, 12.0, 256, MU)
+    full = solve_levels(_morse, g)
+    first = int(np.count_nonzero(full.energies <= 0.0))
+    # H - E_j is singular to rounding: the inertia and the Lanczos values
+    # must still agree on which side of the shift E_j lies
+    for j in (first, first + 1, 100, g.n - 2):
+        ref = continuum_state(_morse, g, full.energies[j])
+        assert ref.index == j + 1
+        assert ref.energy == pytest.approx(full.energies[j], rel=1e-12)
+        np.testing.assert_allclose(ref.state, full.state(j),
+                                   atol=1e-10 * np.max(np.abs(ref.state)))
+    # an exactly zero pivot (info > 0) moves the shift and factors again
+    calls = []
+    factor = spectrum.dsytrf
+
+    def singular_once(*args, **kwargs):
+        ldu, ipiv, info = factor(*args, **kwargs)
+        calls.append(info)
+        return ldu, ipiv, info if len(calls) > 1 else 1
+
+    monkeypatch.setattr(spectrum, "dsytrf", singular_once)
+    ref = continuum_state(_morse, g, full.energies[100])
+    assert len(calls) == 2
+    assert ref.index == 101
+    assert ref.energy == pytest.approx(full.energies[100], rel=1e-12)
+    # a shift that never stops being singular is reported, not looped on
+    monkeypatch.setattr(spectrum, "dsytrf",
+                        lambda *a, **kw: factor(*a, **kw)[:2] + (1,))
+    with pytest.raises(NumericsError):
+        continuum_state(_morse, g, full.energies[100])
+
+
 def test_continuum_edge_errors():
     g = build_uniform(2.0, 12.0, 64, MU)
+    box = solve_levels(_free, g).energies
 
     class Wall:
-        asymptote = 1e6
+        def __init__(self, asymptote):
+            self.asymptote = asymptote
+
         def __call__(self, r):
             return np.zeros_like(np.asarray(r, dtype=float))
 
-    with pytest.raises(ResolutionError):
-        continuum_state(Wall(), g, 2e6)
-    with pytest.raises(ResolutionError):
-        continuum_state(_free, g, 1e9)      # lands on the spectrum edge
+    with pytest.raises(ResolutionError, match="fewer than three"):
+        continuum_state(Wall(1e6), g, 2e6)      # no level above threshold
+    # two levels above threshold are too few, three are enough
+    two = Wall(0.5 * (box[-3] + box[-2]))
+    with pytest.raises(ResolutionError, match="fewer than three"):
+        continuum_state(two, g, box[-2])
+    three = Wall(0.5 * (box[-4] + box[-3]))
+    ref = continuum_state(three, g, box[-2])
+    assert ref.index == g.n - 1
+    assert ref.de_dn == pytest.approx(0.5 * (box[-1] - box[-3]), rel=1e-10)
+    # past the top of the spectrum the nearest level has no upper neighbour
+    with pytest.raises(ResolutionError, match="spectrum edge"):
+        continuum_state(_free, g, 1e9)
+    with pytest.raises(ResolutionError, match="spectrum edge"):
+        continuum_state(three, g, box[-1] + 0.01 * (box[-1] - box[-2]))
 
 
 # --- characteristic periods -------------------------------------------------------

@@ -35,8 +35,9 @@ from .potentials import (AdiabaticPair, CoupledSystem, PotentialCurve,
 from .propagation import (PropagationPlan, TimeSeries, propagate,
                           spectral_bounds, step)
 from .spectrum import (ContinuumRef, LevelSet, adiabatic_period, beat_period,
-                       continuum_state, count_nodes, franck_condon,
-                       hamiltonian_matrix, solve_levels, vibrational_period)
+                       bound_populations, continuum_state, count_nodes,
+                       franck_condon, hamiltonian_matrix, solve_levels,
+                       vibrational_period)
 from .units import Quantity, convert
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "ResolutionError", "RunConfig", "Segment", "SpectralBoundsError",
     "ThermalYield", "TimeSeries", "TwoChannelState", "adiabatic_period",
     "adiabatic_potentials", "apply_kinetic", "beat_period", "bound_fraction",
+    "bound_populations",
     "build_adaptive", "build_grid", "build_uniform", "calibrate_crossing",
     "continuum_fraction", "continuum_state", "convert", "count_nodes",
     "decompose_impulsive", "detect_hole", "evolve_impulsive",

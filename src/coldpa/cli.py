@@ -24,11 +24,13 @@ from .errors import (ColdpaError, ConfigError, DimensionError, DomainError,
                      GridMismatchError)
 from .grids import TwoChannelState, to_momentum
 from .impulsive import evolve_impulsive, predict_k_peaks
+# level_populations is no longer called here, but stays importable under
+# this module's name, where bench/spans.py wraps it
 from .observables import (detect_hole, find_momentum_peaks, level_populations,
                           radius_from_momentum, thermal_yield)
 from .potentials import find_crossing, rabi_period
 from .propagation import propagate
-from .spectrum import solve_levels
+from .spectrum import bound_populations, solve_levels
 from .units import convert, ps2au
 
 
@@ -90,16 +92,12 @@ def cmd_times(args, cfg: RunConfig):
 
 
 def _level_rows(curve, levels):
-    rows = []
-    for v in range(levels.n_levels):
-        e = float(levels.energies[v])
-        rows.append((
-            v + levels.first_index, e,
-            convert(e - curve.asymptote, "hartree", "cm-1"),
-            convert(levels.rotational_constant(v), "hartree", "cm-1"),
-            "bound" if e < curve.asymptote else "box-continuum",
-        ))
-    return rows
+    rel_cm = convert(levels.energies - curve.asymptote, "hartree", "cm-1")
+    b_cm = convert(levels.rotational_constants(), "hartree", "cm-1")
+    return [(v + levels.first_index, float(e), float(rel), float(b),
+             "bound" if e < curve.asymptote else "box-continuum")
+            for v, (e, rel, b) in enumerate(zip(levels.energies, rel_cm,
+                                                b_cm))]
 
 
 def cmd_spectrum(args, cfg: RunConfig):
@@ -107,15 +105,18 @@ def cmd_spectrum(args, cfg: RunConfig):
     system = cfg.build_system()
     grid = cfg.build_grid(system)
     header = ["v", "energy_hartree", "energy_rel_cm", "b_v_cm", "class"]
+    timings = {}
     for name, curve in (("ground", system.ground),
                         ("excited", system.excited)):
-        levels = solve_levels(curve, grid, verify_resolution=args.verify)
+        with _phase(timings, f"eigensolve_{name}_s"):
+            levels = solve_levels(curve, grid, verify_resolution=args.verify)
         rows = _level_rows(curve, levels)
+        del levels          # one channel's states alive at a time
         io.write_csv(os.path.join(out, f"levels_{name}.csv"), header, rows)
         n_bound = sum(1 for r in rows if r[4] == "bound")
         _say(args, f"{name}: {n_bound} bound levels "
-                   f"({levels.n_levels} computed) on n = {grid.n}")
-    io.write_manifest(out, "spectrum", cfg.text)
+                   f"({len(rows)} computed) on n = {grid.n}")
+    io.write_manifest(out, "spectrum", cfg.text, extra={"timings": timings})
     return 0
 
 
@@ -183,13 +184,13 @@ def cmd_analyze(args, cfg: RunConfig):
     }
 
     rows = []
-    for ch, amp, curve in (("g", last.g, system.ground),
-                           ("e", last.e, system.excited)):
-        lv = solve_levels(curve, grid, window=(-np.inf, curve.asymptote))
-        pops = level_populations(grid, amp, lv)
-        for v, p in enumerate(pops):
-            rows.append((ch, v, float(lv.energies[v]), p))
-        # lv holds only bound levels, so pops is the bound projection
+    timings = {}
+    for ch, name, amp, curve in (("g", "ground", last.g, system.ground),
+                                 ("e", "excited", last.e, system.excited)):
+        with _phase(timings, f"eigensolve_{name}_s"):
+            energies, pops = bound_populations(curve, grid, amp)
+        for v, (e, p) in enumerate(zip(energies, pops)):
+            rows.append((ch, v, float(e), float(p)))
         bound = float(np.sum(pops))
         report[f"bound_fraction_{ch}"] = bound
         report[f"continuum_fraction_{ch}"] = report["populations"][ch] - bound
@@ -238,7 +239,7 @@ def cmd_analyze(args, cfg: RunConfig):
         report["thermal"] = None
 
     io.write_json(os.path.join(out, "analysis.json"), report)
-    io.write_manifest(out, "analyze", cfg.text)
+    io.write_manifest(out, "analyze", cfg.text, extra={"timings": timings})
     _say(args, f"populations at {last.t_ps:.1f} ps: "
                f"g = {report['populations']['g']:.4e}, "
                f"e = {report['populations']['e']:.4e}")

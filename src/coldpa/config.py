@@ -209,13 +209,13 @@ class RunConfig:
         ground = PotentialCurve(
             de=convert(g["depth_cm"], "cm-1", "hartree"), re=g["r_e"],
             a=g["a"], cn=g["c_n"], n=g["n"], asymptote=-delta_l,
-            switch_radius=g["switch_radius"],
+            switch_radius=g["switch_radius"], name="ground",
         )
         cn_e = e["c_n"] if e["c_n"] is not None else 1.0
         excited = PotentialCurve(
             de=convert(e["depth_cm"], "cm-1", "hartree"), re=e["r_e"],
             a=e["a"], cn=cn_e, n=e["n"], asymptote=0.0,
-            switch_radius=e["switch_radius"],
+            switch_radius=e["switch_radius"], name="excited",
         )
         p = self.values["pulse"]
         env = PulseEnvelope.default(

@@ -23,8 +23,9 @@ J. Chem. Phys. 96, 1982 (1992)). B and B^T are Toeplitz-plus-Hankel in
 that one real table, so applied to vectors T_phi runs as two FFT linear
 convolutions against it along the node axis (complex FFTs on complex
 input, real ones on real input), zero-padded to a 5-smooth length
-L >= 3n + 2 (:attr:`RadialGrid.kinetic_fft_len`); as a dense matrix it
-is B^T B.
+L >= 3n + 2 (:attr:`RadialGrid.kinetic_fft_len`). As a dense matrix it
+is B^T B, accumulated over row blocks of B into one n x n array, so the
+build never holds B whole.
 """
 
 from __future__ import annotations
@@ -36,10 +37,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.linalg.blas import dsyrk
 
 from .errors import (DomainError, GridCapacityError, GridMismatchError,
                      RangeError)
 from .units import ps2au
+
+# rows or columns per block where a dense n x n build or solve works in
+# blocks: at n = 1400 a block of doubles takes 1.4 MB
+_BLOCK = 128
 
 
 def _cot_sum(big: int, p: np.ndarray) -> np.ndarray:
@@ -302,9 +308,10 @@ def _row_scale(grid: RadialGrid) -> np.ndarray:
     return r
 
 
-def _mapped_derivative(grid: RadialGrid) -> np.ndarray:
+def _mapped_derivative(grid: RadialGrid):
     """B = diag(J_full^-1/2) D diag(J^-1/2), shape (n+2, n), so that the
-    mapped kinetic matrix is B^T B / (2 mu).
+    mapped kinetic matrix is B^T B / (2 mu), yielded as C-ordered blocks
+    of consecutive rows, top to bottom; the whole of B is never formed.
 
     D = O P k S takes phi at the n sine nodes to d/dx at the N+1 cosine
     nodes (N = n+1, both edges included). With kx = kappa * k,
@@ -323,23 +330,46 @@ def _mapped_derivative(grid: RadialGrid) -> np.ndarray:
     f = _cot_sum(big, np.arange(-big, 2 * big + 1))   # F(p) is f[p + big]
     # row m of F(j + m) starts at p = 1 + m, row m of F(j - m) at p = 1 - m
     win = sliding_window_view(f, n)
-    b = win[big + 1:2 * big + 2] + win[big + 1:0:-1]
-    b *= _row_scale(grid)[:, None]
-    b /= np.sqrt(grid.jac)
-    return b
+    scale = _row_scale(grid)[:, None]
+    sqrt_j = np.sqrt(grid.jac)
+    for m0 in range(0, n + 2, _BLOCK):
+        m1 = min(m0 + _BLOCK, n + 2)
+        b = win[big + 1 + m0:big + 1 + m1] + win[big + 1 - m0:big + 1 - m1:-1]
+        b *= scale[m0:m1]
+        b /= sqrt_j
+        yield b
+
+
+def mirror_upper(a: np.ndarray) -> np.ndarray:
+    """Copy the strict upper triangle of the square Fortran-ordered ``a``
+    onto its strict lower one, in place and in column blocks, so that
+    ``a`` is symmetric to the bit."""
+    n = len(a)
+    for j0 in range(0, n, _BLOCK):
+        j1 = min(j0 + _BLOCK, n)
+        d = a[j0:j1, j0:j1]
+        low = np.tril_indices(j1 - j0, -1)
+        d[low] = d.T[low]
+        a[j1:, j0:j1] = a[j0:j1, j1:].T
+    return a
 
 
 def kinetic_matrix(grid: RadialGrid) -> np.ndarray:
     """Dense kinetic matrix in the phi representation (plain symmetric).
 
     T = B^T B / (2 mu) with B from :func:`_mapped_derivative`, so no n x n
-    block is transformed; numpy hands ``b.T @ b`` to BLAS syrk, which
-    makes T symmetric to the bit.
+    block is transformed. BLAS syrk accumulates the upper triangle of one
+    Fortran-ordered n x n array over row blocks of B, and the triangle is
+    mirrored, so T is symmetric to the bit and its build holds one n x n
+    array. The result is that array's transpose: C-ordered, and its own
+    Fortran view ``t.T`` is what LAPACK factors in place.
     """
-    b = _mapped_derivative(grid)
-    t = b.T @ b
-    t /= 2.0 * grid.mu
-    return t
+    n = grid.n
+    t = np.zeros((n, n), order="F")
+    for b in _mapped_derivative(grid):
+        # T += B_k^T B_k / 2 mu, B_k^T as the Fortran view of the C block
+        dsyrk(0.5 / grid.mu, b.T, beta=1.0, c=t, overwrite_c=1)
+    return mirror_upper(t).T
 
 
 # momentum representation ----------------------------------------------------

@@ -35,6 +35,7 @@ class PotentialCurve:
     switch_radius: float = 0.0
     switch_lo: float | None = None
     switch_hi: float | None = None
+    name: str = field(default="", compare=False)   # channel, for messages
 
     def __post_init__(self):
         if self.de <= 0 or self.re <= 0 or self.a <= 0:
@@ -381,11 +382,11 @@ def reference_system(box_hi: float = 200.0,
     dl = delta_l_cm / hartree2cm
     ground = PotentialCurve(
         de=279.0 / hartree2cm, re=12.0, a=0.35,
-        cn=6890.0, n=6, asymptote=-dl, switch_radius=16.0,
+        cn=6890.0, n=6, asymptote=-dl, switch_radius=16.0, name="ground",
     )
     excited = PotentialCurve(
         de=400.0 / hartree2cm, re=10.0, a=0.45,
-        cn=10.0, n=3, asymptote=0.0, switch_radius=14.0,
+        cn=10.0, n=3, asymptote=0.0, switch_radius=14.0, name="excited",
     )
     sys = CoupledSystem(
         ground=ground, excited=excited,

@@ -3,10 +3,15 @@
 Levels are solved in the transformed (phi) representation where the grid
 Hamiltonian is a plain symmetric matrix; returned wavefunctions are psi
 values normalized against the grid quadrature weights, each with a fixed
-sign, so a full and a windowed solve return the same columns. The
-continuum start takes no full eigensolve: shift-invert Lanczos at the
-target energy on one in-place LDL^T factorization, whose inertia gives
-the level's place in the box spectrum.
+sign, so a full and a windowed solve return the same columns. Every
+dense solve works on H in place, through the Fortran view of the
+C-ordered matrix, and holds at most two n x n arrays: H and LAPACK's
+eigenvectors. The bound-level populations of an amplitude take no
+eigenvector on the grid: one in-place tridiagonal reduction, its
+reflectors applied to the amplitude, and the tridiagonal eigenpairs.
+The continuum start takes no full eigensolve: shift-invert Lanczos at
+the target energy on one in-place LDL^T factorization, whose inertia
+gives the level's place in the box spectrum.
 """
 
 from __future__ import annotations
@@ -15,34 +20,57 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.linalg.blas import dsymv
-from scipy.linalg.lapack import dsytrf, dsytrs
+from scipy.linalg.lapack import dsytrd, dsytrf, dsytrs
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import DomainError, NumericsError, ResolutionError
-from .grids import RadialGrid, build_uniform, build_adaptive, kinetic_matrix
+from .errors import (DomainError, GridMismatchError, NumericsError,
+                     ResolutionError)
+from .grids import (_BLOCK, RadialGrid, build_uniform, build_adaptive,
+                    kinetic_matrix, mirror_upper)
 from .units import ps2au
 
 
 def hamiltonian_matrix(curve, grid: RadialGrid) -> np.ndarray:
-    """Dense channel Hamiltonian T + V in the phi representation."""
-    h = kinetic_matrix(grid)
+    """Dense channel Hamiltonian T + V in the phi representation, C-ordered
+    (:func:`~coldpa.grids.kinetic_matrix`), so its Fortran view ``h.T``
+    is what LAPACK overwrites in place.
+
+    The eigensolves skip LAPACK's finiteness scan, so a potential that is
+    not finite at a node is refused here.
+
+    Raises
+    ------
+    DomainError
+        If the potential is NaN or infinite at a node; the message names
+        the channel (the curve's ``name``) and the first such r.
+    """
     v = np.asarray(curve(grid.r) if callable(curve) else curve, dtype=float)
+    bad = ~np.isfinite(v)
+    if bad.any():
+        i = int(np.argmax(bad))
+        label = getattr(curve, "name", "") or "channel"
+        raise DomainError(f"{label} potential is {v[i]} at r = "
+                          f"{float(grid.r[i])!r} bohr (node {i})")
+    h = kinetic_matrix(grid)
     h[np.diag_indices_from(h)] += v
     return h
 
 
 def _phi_to_psi(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
-    # in place: eigh returns sum(phi^2) = 1; physical normalization is
-    # sum w |psi|^2 = 1. LAPACK drivers disagree on column signs, so each
-    # column is flipped to make its first component above 1e-3 max|phi|
-    # positive.
-    mag = np.abs(phi)
-    lead = np.argmax(mag > 1e-3 * mag.max(axis=0), axis=0)
-    phi *= np.sign(phi[lead, np.arange(phi.shape[1])])
-    phi /= np.sqrt(grid.dx)
-    phi /= np.sqrt(grid.jac)[:, None]
+    # in place and in column blocks: eigh returns sum(phi^2) = 1; physical
+    # normalization is sum w |psi|^2 = 1. LAPACK drivers disagree on
+    # column signs, so each column is flipped to make its first component
+    # above 1e-3 max|phi| positive.
+    sqrt_dx, sqrt_j = np.sqrt(grid.dx), np.sqrt(grid.jac)[:, None]
+    for j0 in range(0, phi.shape[1], _BLOCK):
+        blk = phi[:, j0:j0 + _BLOCK]
+        mag = np.abs(blk)
+        lead = np.argmax(mag > 1e-3 * mag.max(axis=0), axis=0)
+        blk *= np.sign(blk[lead, np.arange(blk.shape[1])])
+        blk /= sqrt_dx
+        blk /= sqrt_j
     return phi
 
 
@@ -81,6 +109,16 @@ class LevelSet:
         psi2 = np.abs(self.states[:, v]) ** 2 * self.grid.w
         return float(np.sum(psi2 / (2.0 * self.grid.mu * self.grid.r**2)))
 
+    def rotational_constants(self) -> np.ndarray:
+        """<1 / (2 mu R^2)> for every level, hartree, in one pass over
+        the states in column blocks."""
+        q = self.grid.w / (2.0 * self.grid.mu * self.grid.r**2)
+        out = np.empty(self.n_levels)
+        for j0 in range(0, self.n_levels, _BLOCK):
+            blk = self.states[:, j0:j0 + _BLOCK]
+            out[j0:j0 + _BLOCK] = q @ np.abs(blk) ** 2
+        return out
+
 
 def solve_levels(curve, grid: RadialGrid, window=None,
                  verify_resolution: bool = False,
@@ -93,6 +131,11 @@ def solve_levels(curve, grid: RadialGrid, window=None,
     ``first_index`` counts them; lo may be ``-inf``, so
     ``window=(-np.inf, asymptote)`` gives the bound levels alone.
 
+    ``eigh`` overwrites H in place, and H is dropped before the states
+    are signed and scaled, so the solve holds at most two n x n arrays:
+    H and LAPACK's eigenvector array, which a window cuts down to its
+    kept columns.
+
     Parameters
     ----------
     verify_resolution : bool
@@ -104,23 +147,27 @@ def solve_levels(curve, grid: RadialGrid, window=None,
     ResolutionError
         If verification finds drift above tolerance.
     """
+    if window is not None and not window[0] < window[1]:
+        raise DomainError(f"bad energy window [{window[0]}, {window[1]}]")
     h = hamiltonian_matrix(curve, grid)
     if window is not None:
-        lo, hi = window
-        if not lo < hi:
-            raise DomainError(f"bad energy window [{lo}, {hi}]")
-        evals, phi = eigh(h, subset_by_value=(-np.inf, hi))
-        first = int(np.searchsorted(evals, lo, side="right"))
-        evals, phi = evals[first:], phi[:, first:]
+        # for a window by value LAPACK returns an n x n eigenvector array
+        evals, z = eigh(h.T, subset_by_value=(-np.inf, window[1]),
+                        overwrite_a=True, check_finite=False)
+        del h
+        first = int(np.searchsorted(evals, window[0], side="right"))
+        evals, phi = evals[first:], z[:, first:].copy(order="F")
+        del z
     else:
-        evals, phi = eigh(h)
+        evals, phi = eigh(h.T, overwrite_a=True, check_finite=False)
+        del h
         first = 0
     asym = float(curve.asymptote) if hasattr(curve, "asymptote") else 0.0
     levels = LevelSet(evals, _phi_to_psi(grid, phi), grid, asym, first)
     if verify_resolution:
         fine = _refined(grid)
-        h2 = hamiltonian_matrix(curve, fine)
-        evals2 = eigh(h2, eigvals_only=True)
+        evals2 = eigh(hamiltonian_matrix(curve, fine).T, eigvals_only=True,
+                      overwrite_a=True, check_finite=False)
         if window is not None:
             check = evals
             ref_lo = int(np.searchsorted(evals2, window[0]))
@@ -140,6 +187,50 @@ def solve_levels(curve, grid: RadialGrid, window=None,
                 f"(> {drift_tol:.0e}) under grid doubling; refine the grid"
             )
     return levels
+
+
+def bound_populations(curve, grid: RadialGrid, amp: np.ndarray):
+    """(energies, populations) of the bound levels of one channel: its
+    levels at or below the asymptote, ascending, and |<v|amp>|^2 for the
+    amplitude ``amp`` (psi values, complex or real) in each. No
+    eigenvector is formed on the grid.
+
+    H is reduced in place to a tridiagonal T_d = Q^T H Q (LAPACK dsytrd;
+    a workspace of 32 n blocks it, where LAPACK's default n runs it
+    unblocked). The n - 1 Householder reflectors that make Q are applied
+    to y = sqrt(w) amp, giving Q^T y, and H is freed. The levels are the
+    eigenpairs (E_v, z_v) of T_d in (-inf, asymptote], by bisection and
+    inverse iteration (dstebz, dstein), as LAPACK's windowed dsyevr finds
+    them; the phi-eigenvector of level v is Q z_v, so
+    <v|amp> = z_v^T Q^T y. So the energies are those of
+    ``solve_levels(curve, grid, window=(-inf, asymptote))`` to the bit and
+    the populations those of :func:`~coldpa.observables.level_populations`
+    on it, from one n x n array where that solve holds two.
+    """
+    amp = np.asarray(amp)
+    if amp.shape != (grid.n,):
+        raise GridMismatchError("channel amplitude length != grid size")
+    asym = float(getattr(curve, "asymptote", 0.0))
+    n = grid.n
+    y = np.sqrt(grid.w) * amp
+    y = np.array([y.real, y.imag])            # (2, n): [re, im] rows
+    h = hamiltonian_matrix(curve, grid)
+    # the reflector of column k is u = (0, .., 0, 1, a[k + 2:, k]),
+    # H_k = I - tau_k u u^T, and Q^T = H_{n-2} ... H_0
+    a, d, e, tau, info = dsytrd(h.T, lower=1, lwork=32 * n, overwrite_a=1)
+    if info != 0:
+        raise NumericsError(f"tridiagonal reduction failed (info {info})")
+    for k in range(n - 1):
+        u = a[k + 2:, k]
+        s = tau[k] * (y[:, k + 1] + y[:, k + 2:] @ u)
+        y[:, k + 1] -= s
+        y[:, k + 2:] -= np.multiply.outer(s, u)
+    del h, a
+    energies, z = eigh_tridiagonal(d, e, select="v",
+                                   select_range=(-np.inf, asym),
+                                   lapack_driver="stebz", check_finite=False)
+    c = z.T @ y.T                             # (levels, [re, im])
+    return energies, np.sum(c * c, axis=1)
 
 
 def _refined(grid: RadialGrid) -> RadialGrid:
@@ -198,10 +289,16 @@ def continuum_state(curve, grid: RadialGrid, e_target: float) -> ContinuumRef:
     n = grid.n
     # below threshold the level sought is the first one above it
     sigma = max(e_target, asym)
-    for _ in range(3):
-        h = hamiltonian_matrix(curve, grid)
-        diag = h.diagonal().copy()
-        h[np.diag_indices_from(h)] -= sigma
+    h = hamiltonian_matrix(curve, grid)
+    diag = h.diagonal().copy()
+    for attempt in range(3):
+        if attempt:
+            # a zero pivot: sigma sits exactly on a level. The factor left
+            # the strict upper triangle of h.T alone, so H comes back from
+            # it and the saved diagonal
+            mirror_upper(h.T)
+            sigma += 1e-12 * np.abs(diag).max()
+        h[np.diag_indices_from(h)] = diag - sigma
         # h is symmetric, so its Fortran view h.T is H - sigma, factored
         # in place: D and L overwrite its lower triangle, the strict
         # upper one keeps H. A workspace of 32 n sets the block size to
@@ -209,8 +306,6 @@ def continuum_state(curve, grid: RadialGrid, e_target: float) -> ContinuumRef:
         ldu, ipiv, info = dsytrf(h.T, lower=1, lwork=32 * n, overwrite_a=1)
         if info == 0:
             break
-        # a zero pivot: sigma sits exactly on a level
-        sigma += 1e-12 * np.abs(diag).max()
     else:
         raise NumericsError("H - E stays singular as its shift is moved")
     # Sylvester: H - sigma has as many negative eigenvalues as D. A 2 x 2

@@ -178,6 +178,24 @@ def test_analyze_after_propagate(tmp_path, monkeypatch):
     assert header == ["k_au", "abs_amp"] and len(cols[0]) > 100
 
 
+def test_spectrum_and_analyze_manifests_time_each_eigensolve(tmp_path):
+    cfg = _config(tmp_path, FAST_GRID
+                  + "[propagation]\nt_end_ps = 2\nsnapshots_ps = 1\n"
+                  + "[initial]\nkind = continuum\nenergy_cm = 3.5e-5\n")
+    spec = str(tmp_path / "spec")
+    assert main(["spectrum", "--config", cfg, "--out", spec, "--quiet"]) == 0
+    rc, run_dir = _propagate(tmp_path, "run")
+    assert rc == 0
+    ana = str(tmp_path / "ana")
+    assert main(["analyze", "--config", cfg, "--run", run_dir,
+                 "--out", ana, "--quiet"]) == 0
+    for out in (spec, ana):
+        timings = read_json(os.path.join(out, "manifest.json"))["timings"]
+        assert sorted(timings) == ["eigensolve_excited_s",
+                                   "eigensolve_ground_s"]
+        assert all(v > 0.0 for v in timings.values())
+
+
 def test_impulsive_writes_predictions(tmp_path):
     cfg = _config(tmp_path, FAST_GRID
                   + "[initial]\nkind = continuum\nenergy_cm = 3.5e-5\n")

@@ -172,6 +172,8 @@ def test_kinetic_matrix_closed_form_matches_transforms(refine):
     np.testing.assert_allclose(tk, ref, rtol=0,
                                atol=1e-12 * np.max(np.abs(ref)))
     assert np.array_equal(tk, tk.T)
+    # C-ordered, so LAPACK overwrites it in place through tk.T
+    assert tk.flags.c_contiguous and tk.T.flags.f_contiguous
     evals = np.linalg.eigvalsh(tk)
     assert evals[0] > -1e-12 * evals[-1]
 

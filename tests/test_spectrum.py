@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +9,11 @@ import pytest
 from coldpa import spectrum
 from coldpa.config import RunConfig
 from coldpa.errors import DomainError, NumericsError, ResolutionError
-from coldpa.grids import build_uniform, gaussian
-from coldpa.spectrum import (adiabatic_period, beat_period, continuum_state,
-                             count_nodes, franck_condon, solve_levels,
+from coldpa.grids import build_uniform, gaussian, kinetic_matrix, normalize
+from coldpa.observables import level_populations
+from coldpa.spectrum import (adiabatic_period, beat_period, bound_populations,
+                             continuum_state, count_nodes, franck_condon,
+                             hamiltonian_matrix, solve_levels,
                              vibrational_period)
 from coldpa.units import convert
 
@@ -31,6 +36,24 @@ def _morse_exact(v):
 
 def _free(r):
     return np.zeros_like(np.asarray(r, dtype=float))
+
+
+def _reference_grid(n, r_hi):
+    """The reference Cs pair on an adaptive n-point grid over [2, r_hi]
+    bohr: n=420 over [2, 60] and the n=1400, [2, 200] grid of the
+    desk-scale analog run."""
+    cfg = RunConfig.parse(
+        "[system]\ndetuning_cm = 140.0\ncoupling_cm = 13.17\n"
+        "r_min = 2.0\nr_max = 1000.0\n\n[excited]\ncalibrate_rc = 29.3\n\n"
+        f"[grid]\nn = {n}\nr_lo = 2.0\nr_hi = {r_hi!r}\n"
+        "mapping = adaptive\n")
+    sys_ = cfg.build_system()
+    return sys_, cfg.build_grid(sys_)
+
+
+@pytest.fixture(scope="module")
+def analog_grid():
+    return _reference_grid(1400, 200.0)
 
 
 # --- eigenvalues ---------------------------------------------------------------
@@ -101,8 +124,13 @@ def test_resolution_verification():
 
 def test_rotational_constants():
     g = build_uniform(1.5, 30.0, 512, MU)
-    bound = solve_levels(_morse, g).bound()
+    levels = solve_levels(_morse, g)
+    bound = levels.bound()
     bv = np.array([bound.rotational_constant(v) for v in range(8)])
+    # the blocked pass over all 512 levels sums in another order
+    np.testing.assert_allclose(
+        levels.rotational_constants(),
+        [levels.rotational_constant(v) for v in range(g.n)], rtol=1e-13)
     assert np.all(np.diff(bv) < 0)          # outward drift with v
     assert bv[0] == pytest.approx(1.0 / (2.0 * MU * RE**2), rel=0.1)
 
@@ -180,13 +208,7 @@ def test_continuum_widens_past_crowded_bound_levels(monkeypatch):
 
 
 def test_continuum_state_matches_full_spectrum(monkeypatch):
-    # the reference Cs pair on an adaptive 420-point grid over [2, 60] bohr
-    cfg = RunConfig.parse(
-        "[system]\ndetuning_cm = 140.0\ncoupling_cm = 13.17\n"
-        "r_min = 2.0\nr_max = 1000.0\n\n[excited]\ncalibrate_rc = 29.3\n\n"
-        "[grid]\nn = 420\nr_lo = 2.0\nr_hi = 60.0\nmapping = adaptive\n")
-    sys_ = cfg.build_system()
-    grid = cfg.build_grid(sys_)
+    sys_, grid = _reference_grid(420, 60.0)
     ground = sys_.ground
     full = solve_levels(ground, grid)
 
@@ -243,11 +265,27 @@ def test_continuum_target_on_a_box_level(monkeypatch):
         calls.append(info)
         return ldu, ipiv, info if len(calls) > 1 else 1
 
+    builds = []
+
+    def counted(grid):
+        builds.append(grid)
+        return kinetic_matrix(grid)
+
     monkeypatch.setattr(spectrum, "dsytrf", singular_once)
+    monkeypatch.setattr(spectrum, "kinetic_matrix", counted)
     ref = continuum_state(_morse, g, full.energies[100])
     assert len(calls) == 2
     assert ref.index == 101
     assert ref.energy == pytest.approx(full.energies[100], rel=1e-12)
+    # the retry rebuilt H from the factor's untouched triangle, not anew:
+    # a fresh call at the moved shift factors the same H - sigma
+    assert len(builds) == 1
+    monkeypatch.setattr(spectrum, "dsytrf", factor)
+    shift = 1e-12 * np.abs(hamiltonian_matrix(_morse, g).diagonal()).max()
+    fresh = continuum_state(_morse, g, full.energies[100] + shift)
+    assert (fresh.index, fresh.energy, fresh.de_dn) == (
+        ref.index, ref.energy, ref.de_dn)
+    np.testing.assert_array_equal(fresh.state, ref.state)
     # a shift that never stops being singular is reported, not looped on
     monkeypatch.setattr(spectrum, "dsytrf",
                         lambda *a, **kw: factor(*a, **kw)[:2] + (1,))
@@ -281,6 +319,82 @@ def test_continuum_edge_errors():
         continuum_state(_free, g, 1e9)
     with pytest.raises(ResolutionError, match="spectrum edge"):
         continuum_state(three, g, box[-1] + 0.01 * (box[-1] - box[-2]))
+
+
+def test_hamiltonian_refuses_a_non_finite_potential():
+    g = build_uniform(2.0, 12.0, 64, MU)
+    for bad in (np.nan, np.inf):
+        table = _morse(g.r)
+        table[[17, 40]] = bad
+        with pytest.raises(DomainError, match=re.escape(
+                f"channel potential is {bad} at r = {float(g.r[17])!r} bohr")):
+            hamiltonian_matrix(table, g)
+    # a curve from the config names its channel, on every eigensolve path
+    sys_, grid = _reference_grid(420, 60.0)
+    assert (sys_.ground.name, sys_.excited.name) == ("ground", "excited")
+    broken = dataclasses.replace(sys_.excited, cn=np.nan)
+    for solve in (lambda: solve_levels(broken, grid),
+                  lambda: bound_populations(broken, grid, grid.r),
+                  lambda: continuum_state(broken, grid, 1e-9)):
+        with pytest.raises(DomainError, match=re.escape(
+                f"excited potential is nan at r = {float(grid.r[0])!r}")):
+            solve()
+
+
+def _spread_amplitude(grid, bound):
+    """A unit complex amplitude over bound levels and the box continuum."""
+    mid = 0.5 * (grid.r_lo + grid.r_hi)
+    # half the local grid momentum: most of the packet lies in the continuum
+    k0 = 0.5 * np.pi / grid.dr_local[np.searchsorted(grid.r, mid)]
+    amp = gaussian(grid, mid, 0.1 * grid.r_hi, k0=k0)
+    top = bound.n_levels - 1
+    for v in (0, top // 2, top):
+        amp = amp + (0.3 + 0.2j * v / top) * bound.state(v)
+    return normalize(grid, amp)
+
+
+@pytest.mark.parametrize("which", ["n420", "analog"])
+def test_bound_populations_match_windowed_levels(which, analog_grid):
+    sys_, grid = (_reference_grid(420, 60.0) if which == "n420"
+                  else analog_grid)
+    for curve in (sys_.ground, sys_.excited):
+        bound = solve_levels(curve, grid, window=(-np.inf, curve.asymptote))
+        amp = _spread_amplitude(grid, bound)
+        want = level_populations(grid, amp, bound)
+        energies, pops = bound_populations(curve, grid, amp)
+        np.testing.assert_allclose(energies, bound.energies, rtol=1e-13,
+                                   atol=0.0)
+        np.testing.assert_allclose(pops, want, rtol=0.0, atol=1e-12)
+        # the amplitude reaches the continuum: the bound part is not all
+        assert 0.05 < np.sum(pops) < 0.95
+
+
+def _peak_n2(fn, n):
+    """tracemalloc peak of fn() above what was allocated before it, in
+    n x n arrays of doubles."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / (8.0 * n * n)
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_solves_hold_at_most_two_matrices(analog_grid):
+    sys_, grid = analog_grid
+    n = grid.n
+    assert n >= 1000 and grid.kind == "adaptive"
+    assert _peak_n2(lambda: kinetic_matrix(grid), n) <= 1.5
+    for curve in (sys_.ground, sys_.excited):
+        bound = (-np.inf, curve.asymptote)
+        assert _peak_n2(lambda: solve_levels(curve, grid), n) <= 2.2
+        assert _peak_n2(lambda: solve_levels(curve, grid, window=bound),
+                        n) <= 2.2
+        amp = gaussian(grid, 60.0, 10.0, k0=0.3)
+        assert _peak_n2(lambda: bound_populations(curve, grid, amp),
+                        n) <= 1.5
 
 
 # --- characteristic periods -------------------------------------------------------

@@ -148,7 +148,8 @@ def cmd_propagate(args, cfg: RunConfig):
         io.save_grid(os.path.join(out, "grid.csv"), grid)
         io.save_timeseries(out, series)
     io.write_manifest(out, "propagate", cfg.text,
-                      extra={"initial": info, "propagation": series.meta,
+                      extra={"initial": info,
+                             "propagation": io.meta_to_json(series.meta),
                              "timings": timings})
     _say(args, f"steps: {len(series.t) - 1}, "
                f"matvecs: {series.meta['matvecs']}, "

@@ -2,7 +2,8 @@
 canonical key order, and append-never run directories with a manifest.
 
 Identical inputs must produce byte-identical files, so floats go through
-'%.17g' (shortest round-trip form) and JSON keys are always sorted.
+'%.17g' (17 significant digits: always a round-trip form, though not
+always the shortest, which is ``repr``) and JSON keys are always sorted.
 """
 
 from __future__ import annotations
@@ -121,6 +122,18 @@ def load_state(path, grid: RadialGrid, t: float = 0.0) -> TwoChannelState:
     return TwoChannelState(grid, re_g + 1j * im_g, re_e + 1j * im_e, t)
 
 
+def meta_to_json(meta: dict) -> dict:
+    """A :class:`~coldpa.propagation.TimeSeries` meta as JSON values: ints
+    and strings as they are, a dict (the order histogram) with string
+    keys, every other value as a float."""
+    def value(v):
+        if isinstance(v, dict):
+            return {str(k): value(x) for k, x in v.items()}
+        return v if isinstance(v, (int, str)) else float(v)
+
+    return {k: value(v) for k, v in meta.items()}
+
+
 def save_timeseries(out_dir: str, series) -> None:
     """populations.csv + one state CSV per snapshot inside out_dir.
 
@@ -139,9 +152,8 @@ def save_timeseries(out_dir: str, series) -> None:
         index.append({"file": name, "t_ps": snap.t_ps})
     write_json(os.path.join(out_dir, "snapshots.json"), {
         "snapshots": index,
-        "meta": {k: (v if isinstance(v, (int, str)) else float(v))
-                 for k, v in series.meta.items()
-                 if k not in WALL_CLOCK_KEYS},
+        "meta": meta_to_json({k: v for k, v in series.meta.items()
+                              if k not in WALL_CLOCK_KEYS}),
     })
 
 

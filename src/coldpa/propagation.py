@@ -27,7 +27,14 @@ the kinetic energy as two complex-FFT convolutions against the real cot
 table at a 5-smooth length (see :mod:`coldpa.grids`), with 2 / half_span
 folded into its row scale; the potentials as one (2, n) diagonal; the
 coupling as one scalar on the channel-swapped rows. The Lanczos estimate
-of the top applies the same operator at shift 0 and scale 1.
+of the top applies the same operator at shift 0 and scale 1. There a
+constant interval runs in blocks of up to ``BLOCK_STEPS`` steps, each
+from one expansion: every time inside its span reads the same
+T_k(A) psi vectors (Tal-Ezer & Kosloff 1984), so the state after j steps
+is sum_k c_k(j alpha) T_k(A) psi, cut at the order of the block's last
+step. A block of m steps costs about m alpha terms where m single steps
+cost m times (alpha plus the tail that carries each series to
+convergence). Ramps take one step per expansion.
 Both paths time their steps (``series_s`` in :attr:`TimeSeries.meta`),
 and the FFT path its convolutions (``kinetic_s``).
 
@@ -46,6 +53,7 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg import block_diag
+from scipy.linalg.blas import dgemm
 from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import jv
 
@@ -118,6 +126,11 @@ def spectral_bounds(sys: CoupledSystem, grid: RadialGrid,
 
 # sign of c_k = 2 J_k (-i)^k in its real (even k) or imaginary (odd k) part
 _SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+# most steps of a constant interval on the FFT path taken from one expansion
+BLOCK_STEPS = 16
+# Chebyshev terms held between two folds into the accumulators; even, so
+# that slot k % _FOLD has the parity of term k
+_FOLD = 8
 
 
 class _Engine:
@@ -142,7 +155,7 @@ class _Engine:
                         if grid.n <= 256 else None)
         self._op, self._op_key = None, None
         self._eigen, self._eigen_key = None, None
-        self._coef_cache: dict[float, np.ndarray] = {}
+        self._coef_cache: dict[tuple[float, int], np.ndarray] = {}
         self.bound_matvecs = 0
         self.kinetic_s = 0.0      # _top's FFT applications add to it
         w_max = sys.coupling * sys.envelope.flat_value
@@ -154,6 +167,7 @@ class _Engine:
         self.half_span = 0.5 * (self.e_hi - self.e_lo)
         self.matvecs = 0
         self.max_order = 0
+        self.order_counts: dict[int, int] = {}   # expansions per order
         self.eigensolves = 0
         self.eigen_orthogonality = 0.0
         self.series_s = 0.0
@@ -231,53 +245,82 @@ class _Engine:
         return float(eigsh(op, k=1, which="LA", v0=v0.reshape(n, 2).T.ravel(),
                            tol=1e-6, return_eigenvectors=False)[0])
 
-    def _coefficients(self, alpha: float) -> np.ndarray:
-        """Real b_k of the series c_k = 2 J_k(alpha) (-i)^k (c_0 halved):
-        c_k = b_k for even k and i b_k for odd k."""
-        coefs = self._coef_cache.get(alpha)
+    def _coefficients(self, alpha: float, m: int = 1) -> np.ndarray:
+        """Real b_k of the series c_k = 2 J_k(j alpha) (-i)^k (c_0 halved)
+        for j = 1..m, one row each: c_k = b_k for even k and i b_k for odd
+        k. All rows stop at the order of the last, the largest j alpha."""
+        coefs = self._coef_cache.get((alpha, m))
         if coefs is not None:
             return coefs
-        cap = int(10.0 * abs(alpha)) + 100
-        raw = jv(np.arange(cap + 1), alpha)
+        top = m * alpha
+        cap = int(10.0 * abs(top)) + 100
+        raw = jv(np.arange(cap + 1), top)
         big = np.nonzero(np.abs(raw) >= 0.5 * self.tol)[0]
         order = int(big[-1]) if len(big) else 0
         if order >= cap:
             raise NumericsError(
                 f"Chebyshev series not converged at order cap {cap}"
             )
-        coefs = raw[:order + 1] * _SIGNS[np.arange(order + 1) % 4]
-        coefs[1:] *= 2.0
-        self._coef_cache[alpha] = coefs
+        k = np.arange(order + 1)
+        coefs = np.empty((m, order + 1))
+        coefs[-1] = raw[:order + 1]
+        coefs[:-1] = jv(k, alpha * np.arange(1, m)[:, None])
+        coefs *= _SIGNS[k % 4]
+        coefs[:, 1:] *= 2.0
+        self._coef_cache[(alpha, m)] = coefs
         return coefs
 
-    def _series(self, x: np.ndarray, dt: float, apply2a) -> np.ndarray:
-        """exp(-i H dt) psi = e^{-i e_mid dt} sum_k c_k T_k(A) psi, with
-        A = (H - e_mid) / half_span and apply2a(cur, out=nxt) the
-        :meth:`_operator` at (e_mid, 2 / half_span), writing 2 A cur into
-        nxt. x is the channel-major state: on the dense path the real
-        (2n, 2) [re, im] view of the phi block, on the FFT path the complex
-        (2, n) psi block.
+    def _series(self, x: np.ndarray, dt: float, apply2a,
+                m: int = 1) -> np.ndarray:
+        """The states exp(-i H j dt) psi for j = 1..m, from one recurrence:
+        e^{-i e_mid j dt} sum_k c_k(j alpha) T_k(A) psi, with
+        A = (H - e_mid) / half_span, alpha = half_span dt and apply2a(cur,
+        out=nxt) the :meth:`_operator` at (e_mid, 2 / half_span), writing
+        2 A cur into nxt. x is the channel-major state: on the dense path
+        the real (2n, 2) [re, im] view of the phi block, on the FFT path
+        the complex (2, n) psi block. Returns an (m, x.size) complex array
+        for complex x, (m, x.size / 2) for real x: row j - 1 the state
+        after j steps, flattened.
 
-        A is real, so the even terms (real c_k) and the odd ones
-        (imaginary c_k) gather in two accumulators of x's type, combined
-        into the complex result once. One matvec is counted per term
-        after the first.
+        The terms T_k(A) psi go into a ring of ``_FOLD`` slots. A is real,
+        so each time the ring fills, its even terms (real c_k) and its odd
+        ones (imaginary c_k) fold into two real (m, .) accumulators, one
+        GEMM each on the slots' [re, im] view, so the m states cost a few
+        flops per term and element rather than m passes; the result
+        combines them once. One matvec is counted per term after the first.
         """
-        coefs = self._coefficients(self.half_span * dt)
-        order = len(coefs) - 1
+        coefs = self._coefficients(self.half_span * dt, m)
+        order = coefs.shape[1] - 1
+        even, odd = coefs[:, 0::2], coefs[:, 1::2]
         guard = 100.0 * float(np.max(np.abs(x))) + 1e-300
-        acc = [coefs[0] * x, np.zeros_like(x)]
-        prev, cur, nxt = np.empty_like(x), x.copy(), np.empty_like(x)
-        for k in range(1, order + 1):
-            # nxt = 2 A cur, then T_1 = A T_0, T_k = 2 A T_(k-1) - T_(k-2)
-            apply2a(cur, out=nxt)
-            if k == 1:
-                nxt *= 0.5
+        # term k sits in slot k % _FOLD, in half k % 2 of the ring, so the
+        # terms of one parity are contiguous rows of a real matrix
+        ring = np.empty((2, _FOLD // 2) + x.shape, dtype=x.dtype)
+        flat = ring.view(float).reshape(2, _FOLD // 2, -1)
+        slots = [ring[i % 2, i // 2] for i in range(_FOLD)]
+        acc = np.zeros((2, m, flat.shape[2]))
+        for k in range(order + 1):
+            # T_0 = psi, T_1 = A T_0, T_k = 2 A T_(k-1) - T_(k-2)
+            nxt = slots[k % _FOLD]
+            if k == 0:
+                nxt[...] = x
             else:
-                nxt -= prev
-            prev, cur, nxt = cur, nxt, prev
-            acc[k & 1] += coefs[k] * cur
-            if k % 16 == 0 and float(np.max(np.abs(cur))) > guard:
+                apply2a(slots[(k - 1) % _FOLD], out=nxt)
+                if k == 1:
+                    nxt *= 0.5
+                else:
+                    nxt -= slots[(k - 2) % _FOLD]
+            if k % _FOLD != _FOLD - 1 and k != order:
+                continue
+            # acc[p] += c_p T_p over the ring's terms of parity p, as one
+            # in-place GEMM on the transposed (Fortran-ordered) arrays
+            j, used = (k - k % _FOLD) // 2, k % _FOLD + 1
+            for parity, c in enumerate((even, odd)):
+                rows = (used - parity + 1) // 2
+                if rows:
+                    dgemm(1.0, flat[parity, :rows].T, c[:, j:j + rows].T,
+                          beta=1.0, c=acc[parity].T, overwrite_c=1)
+            if np.abs(nxt).max() > guard:
                 raise SpectralBoundsError(
                     "Chebyshev recurrence is growing: the Hamiltonian "
                     "spectrum leaves the declared bounds; re-estimate "
@@ -285,40 +328,52 @@ class _Engine:
                 )
         self.matvecs += order
         self.max_order = max(self.max_order, order)
-        even, odd = acc
-        if not np.iscomplexobj(x):
-            even, odd = even.view(complex), odd.view(complex)
-        return (even + 1j * odd) * np.exp(-1j * self.e_mid * dt)
+        self.order_counts[order] = self.order_counts.get(order, 0) + 1
+        out = acc[0].view(complex) + 1j * acc[1].view(complex)
+        out *= np.exp(-1j * self.e_mid * dt * np.arange(1, m + 1))[:, None]
+        return out
 
-    def step(self, psi: np.ndarray, dt: float, f_mid: float) -> np.ndarray:
-        """exp(-i H(f_mid) dt) applied to a channel-major (2, n) block;
-        the wall time goes to series_s. The dense path runs the series on
-        phi = sqrt(J) psi, so sqrt(J) is applied once per step."""
+    def _advance(self, psi: np.ndarray, dt: float, f_mid: float,
+                 m: int = 1) -> np.ndarray:
+        """The (m, 2, n) states after 1..m steps of exp(-i H(f_mid) dt)
+        from a channel-major (2, n) block, by one expansion; the wall time
+        goes to series_s. The dense path runs the series on
+        phi = sqrt(J) psi, so sqrt(J) is applied once per expansion."""
         t0 = time.perf_counter()
         psi = np.ascontiguousarray(psi, dtype=complex)
         op = self._operator(self.w_peak * f_mid, self.e_mid,
                             2.0 / self.half_span)
         if self.h_dense is None:
-            out = self._series(psi, dt, op)
+            out = self._series(psi, dt, op, m).reshape((m,) + psi.shape)
         else:
             phi = (psi * self.sqrt_j).view(float).reshape(-1, 2)
-            out = self._series(phi, dt, op).reshape(psi.shape) / self.sqrt_j
+            out = (self._series(phi, dt, op, m).reshape((m,) + psi.shape)
+                   / self.sqrt_j)
         self.series_s += time.perf_counter() - t0
         return out
+
+    def step(self, psi: np.ndarray, dt: float, f_mid: float) -> np.ndarray:
+        """exp(-i H(f_mid) dt) applied to a channel-major (2, n) block."""
+        return self._advance(psi, dt, f_mid)[0]
 
     def steps(self, psi: np.ndarray, dt: float, f_mid: np.ndarray,
               const: bool):
         """Yield the (2, n) state after each step of an interval with
-        envelope values f_mid at the step midpoints: Chebyshev steps,
-        except on a constant interval of the dense path, which is exact
-        from one eigendecomposition of the :meth:`_operator` matrix,
-        2 A = V diag(lam) V^T, c = V^T phi, phi = V c. The last
-        decomposition is kept while (f, e_mid, half_span) is unchanged,
-        so snapshots that split a constant interval add no eigensolve."""
+        envelope values f_mid at the step midpoints. A ramp takes one
+        Chebyshev expansion per step. A constant interval takes one per
+        block of up to ``BLOCK_STEPS`` steps on the FFT path; on the dense
+        path it is exact from one eigendecomposition of the
+        :meth:`_operator` matrix, 2 A = V diag(lam) V^T, c = V^T phi,
+        phi = V c. The last decomposition is kept while
+        (f, e_mid, half_span) is unchanged, so snapshots that split a
+        constant interval add no eigensolve."""
         if not const or self.h_dense is None:
-            for f in f_mid:
-                psi = self.step(psi, dt, f)
-                yield psi
+            block = BLOCK_STEPS if const else 1
+            for i in range(0, len(f_mid), block):
+                states = self._advance(psi, dt, f_mid[i],
+                                       min(block, len(f_mid) - i))
+                yield from states
+                psi = states[-1]
             return
         key = (f_mid[0], self.e_mid, self.half_span)
         if self._eigen_key != key:
@@ -449,12 +504,14 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
         t = tb    # kill accumulated rounding at the knot
         rec_t[-1] = t
         if any(abs(t - s) < 1e-9 for s in want):
-            snaps.append(TwoChannelState(grid, *psi, t))
+            # a copy: psi may be one row of a block of states
+            snaps.append(TwoChannelState(grid, *psi.copy(), t))
 
     meta = {
         "e_lo": eng.e_lo, "e_hi": eng.e_hi, "v_cap": eng.cap,
         "lambda_max": eng.lambda_max, "bound_matvecs": eng.bound_matvecs,
         "matvecs": eng.matvecs, "max_order": eng.max_order,
+        "order_counts": dict(sorted(eng.order_counts.items())),
         "eigensolves": eng.eigensolves,
         "eigen_orthogonality": eng.eigen_orthogonality,
         "series_s": eng.series_s, "kinetic_s": eng.kinetic_s,

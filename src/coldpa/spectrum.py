@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal, solve_triangular
 from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dsytrd, dsytrf, dsytrs
 from scipy.sparse.linalg import LinearOperator, eigsh
@@ -30,6 +30,9 @@ from .errors import (DomainError, GridMismatchError, NumericsError,
 from .grids import (_BLOCK, RadialGrid, build_uniform, build_adaptive,
                     kinetic_matrix, mirror_upper)
 from .units import ps2au
+
+# Householder reflectors applied together in one compact-WY block
+_WY_BLOCK = 64
 
 
 def hamiltonian_matrix(curve, grid: RadialGrid) -> np.ndarray:
@@ -198,7 +201,9 @@ def bound_populations(curve, grid: RadialGrid, amp: np.ndarray):
     H is reduced in place to a tridiagonal T_d = Q^T H Q (LAPACK dsytrd;
     a workspace of 32 n blocks it, where LAPACK's default n runs it
     unblocked). The n - 1 Householder reflectors that make Q are applied
-    to y = sqrt(w) amp, giving Q^T y, and H is freed. The levels are the
+    to y = sqrt(w) amp, ``_WY_BLOCK`` at a time in compact-WY form
+    (T^-1 as in Joffrain et al., ACM Trans. Math. Softw. 32, 169 (2006)),
+    giving Q^T y, and H is freed. The levels are the
     eigenpairs (E_v, z_v) of T_d in (-inf, asymptote], by bisection and
     inverse iteration (dstebz, dstein), as LAPACK's windowed dsyevr finds
     them; the phi-eigenvector of level v is Q z_v, so
@@ -220,11 +225,23 @@ def bound_populations(curve, grid: RadialGrid, amp: np.ndarray):
     a, d, e, tau, info = dsytrd(h.T, lower=1, lwork=32 * n, overwrite_a=1)
     if info != 0:
         raise NumericsError(f"tridiagonal reduction failed (info {info})")
-    for k in range(n - 1):
-        u = a[k + 2:, k]
-        s = tau[k] * (y[:, k + 1] + y[:, k + 2:] @ u)
-        y[:, k + 1] -= s
-        y[:, k + 2:] -= np.multiply.outer(s, u)
+    for k0 in range(0, n - 1, _WY_BLOCK):
+        # H_k0 ... H_k1-1 = I - V T V^T (compact WY), with V the block's
+        # reflectors from row k0 + 1 on and T^-1 = triu(V^T V, 1) +
+        # diag(1/tau); a reflector with tau = 0 is the identity and drops
+        # out as a zero column. So the block takes y to y - V T^T V^T y.
+        # V is written over its own columns of a, which nothing reads again.
+        k1 = min(k0 + _WY_BLOCK, n - 1)
+        t, b = tau[k0:k1], k1 - k0
+        v = a[k0 + 1:, k0:k1]
+        v[np.triu_indices(b, 1)] = 0.0
+        v[np.diag_indices(b)] = 1.0
+        v[:, t == 0.0] = 0.0
+        t_inv = np.triu(v.T @ v, 1)
+        t_inv[np.diag_indices(b)] = np.divide(1.0, t, out=np.ones(b),
+                                              where=t != 0.0)
+        z = solve_triangular(t_inv, v.T @ y[:, k0 + 1:].T, trans="T")
+        y[:, k0 + 1:] -= (v @ z).T
     del h, a
     energies, z = eigh_tridiagonal(d, e, select="v",
                                    select_range=(-np.inf, asym),

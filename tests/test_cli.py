@@ -119,6 +119,12 @@ def test_propagate_manifest_records_the_run(tmp_path):
     assert run["e_lo"] < run["lambda_max"] < run["e_hi"]
     assert run["bound_matvecs"] > 0
     assert run["matvecs"] > 0 and run["max_order"] > 0
+    # the order histogram accounts for every matvec, in both files
+    counts = {int(k): v for k, v in run["order_counts"].items()}
+    assert sum(k * c for k, c in counts.items()) == run["matvecs"]
+    assert max(counts) == run["max_order"]
+    idx = read_json(os.path.join(out, "snapshots.json"))
+    assert idx["meta"]["order_counts"] == run["order_counts"]
 
 
 def test_propagate_manifest_times_each_phase(tmp_path):

@@ -151,7 +151,8 @@ def test_save_timeseries_layout(tmp_path):
         pop_g=np.array([1.0, 0.9, 0.8]),
         pop_e=np.array([0.0, 0.1, 0.2]),
         norm=np.ones(3), snapshots=snaps, grid=grid,
-        meta={"matvecs": 42, "e_lo": -0.5},
+        meta={"matvecs": 42, "e_lo": -0.5,
+              "order_counts": {20: 2, 124: 1, 58: 3}},
     )
     save_timeseries(str(tmp_path), series)
     header, cols = read_csv(str(tmp_path / "populations.csv"))
@@ -163,6 +164,10 @@ def test_save_timeseries_layout(tmp_path):
                                                      "state_0001.csv"]
     assert idx["snapshots"][1]["t_ps"] == pytest.approx(2.0)
     assert idx["meta"]["matvecs"] == 42
+    # the order histogram is written with string keys and reads back
+    counts = idx["meta"]["order_counts"]
+    assert all(isinstance(k, str) for k in counts)
+    assert {int(k): v for k, v in counts.items()} == {20: 2, 124: 1, 58: 3}
     back = load_state(str(tmp_path / "state_0001.csv"), grid)
     np.testing.assert_array_equal(back.e, snaps[1].e)
 

@@ -8,8 +8,9 @@ from coldpa.errors import (DomainError, GridMismatchError,
                            SpectralBoundsError)
 from coldpa.grids import TwoChannelState, build_grid, build_uniform, gaussian
 from coldpa.potentials import CoupledSystem, PotentialCurve, PulseEnvelope
-from coldpa.propagation import (PropagationPlan, TimeSeries, _Engine,
-                                propagate, spectral_bounds, step)
+from coldpa import propagation
+from coldpa.propagation import (BLOCK_STEPS, PropagationPlan, TimeSeries,
+                                _Engine, propagate, spectral_bounds, step)
 from coldpa.spectrum import hamiltonian_matrix
 from coldpa.units import ps2au
 
@@ -429,3 +430,71 @@ def test_meta_times_the_series_and_the_kinetic_step():
     sys_, grid, init = _offset_pair()
     meta = propagate(sys_, grid, plan, init).meta
     assert meta["series_s"] > 0.0 and meta["kinetic_s"] == 0.0
+
+
+# --- blocks of constant-interval steps on the FFT path ----------------------------
+
+@pytest.mark.parametrize("f", [0.0, 1.0])
+def test_fft_blocks_match_chained_steps(f):
+    # one interval of a full block plus a remainder: every step edge of
+    # the blocked expansion against a chain of single steps
+    sys_, grid, pair = _adaptive_300()
+    dt, n_steps = 0.0005 * ps2au, BLOCK_STEPS + 5
+    blocked = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    single = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    assert blocked.h_dense is None
+    states = list(blocked.steps(pair, dt, np.full(n_steps, f), const=True))
+    assert len(states) == n_steps
+    psi = pair
+    for got in states:
+        psi = single.step(psi, dt, f)
+        np.testing.assert_allclose(got, psi, rtol=0, atol=1e-12)
+    # one expansion per block, one matvec per term of each
+    counts = blocked.order_counts
+    assert sum(counts.values()) == 2
+    assert blocked.matvecs == sum(k * c for k, c in counts.items())
+    assert blocked.max_order == max(counts)
+    assert single.matvecs == n_steps * single.max_order
+    assert blocked.matvecs < single.matvecs
+
+
+def test_fft_blocks_record_the_same_edges_and_snapshots(monkeypatch):
+    # a ramp, then a constant interval that a snapshot splits into 6 and
+    # BLOCK_STEPS + 3 steps; BLOCK_STEPS = 1 is the one-step-per-expansion
+    # run
+    sys_, grid, pair = _adaptive_300()
+    pair /= np.sqrt(np.sum(np.abs(pair) ** 2 * grid.w))
+    init = TwoChannelState(grid, pair[0], pair[1])
+    plan = PropagationPlan.from_ps(
+        t_start=1.998, t_end=2.0 + 0.0005 * (BLOCK_STEPS + 9),
+        dt_ramp=0.0005, dt_flat=0.0005, snapshots=(2.0, 2.003))
+    blocked = propagate(sys_, grid, plan, init)
+    monkeypatch.setattr(propagation, "BLOCK_STEPS", 1)
+    single = propagate(sys_, grid, plan, init)
+    assert len(blocked.t) == len(single.t) == 1 + 4 + BLOCK_STEPS + 9
+    np.testing.assert_array_equal(blocked.t, single.t)
+    for key in ("pop_g", "pop_e", "norm"):
+        np.testing.assert_allclose(getattr(blocked, key),
+                                   getattr(single, key), rtol=0, atol=1e-12)
+    assert len(blocked.snapshots) == len(single.snapshots) == 2
+    for a, b in zip(blocked.snapshots, single.snapshots):
+        assert a.t == b.t
+        np.testing.assert_allclose(a.g, b.g, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.e, b.e, rtol=0, atol=1e-12)
+    # the ramp's 4 steps, then blocks of 6, BLOCK_STEPS and 3 steps
+    assert sum(blocked.meta["order_counts"].values()) == 4 + 3
+    assert sum(single.meta["order_counts"].values()) == 4 + BLOCK_STEPS + 9
+    for meta in (blocked.meta, single.meta):
+        assert meta["matvecs"] == sum(
+            k * c for k, c in meta["order_counts"].items())
+    assert blocked.meta["matvecs"] < single.meta["matvecs"]
+
+
+def test_runaway_recurrence_is_caught_inside_a_block():
+    sys_, grid, pair = _adaptive_300()
+    eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    assert eng.h_dense is None
+    eng.half_span *= 0.15
+    with pytest.raises(SpectralBoundsError):
+        list(eng.steps(pair, 4.0 / eng.half_span, np.ones(BLOCK_STEPS),
+                       const=True))

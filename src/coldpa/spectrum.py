@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, solve_triangular
+from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.linalg.blas import dsymv
-from scipy.linalg.lapack import dsytrd, dsytrf, dsytrs
+from scipy.linalg.lapack import dormqr, dsytrd, dsytrf, dsytrs
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import (DomainError, GridMismatchError, NumericsError,
@@ -30,9 +30,6 @@ from .errors import (DomainError, GridMismatchError, NumericsError,
 from .grids import (_BLOCK, RadialGrid, build_uniform, build_adaptive,
                     kinetic_matrix, mirror_upper)
 from .units import ps2au
-
-# Householder reflectors applied together in one compact-WY block
-_WY_BLOCK = 64
 
 
 def hamiltonian_matrix(curve, grid: RadialGrid) -> np.ndarray:
@@ -201,9 +198,8 @@ def bound_populations(curve, grid: RadialGrid, amp: np.ndarray):
     H is reduced in place to a tridiagonal T_d = Q^T H Q (LAPACK dsytrd;
     a workspace of 32 n blocks it, where LAPACK's default n runs it
     unblocked). The n - 1 Householder reflectors that make Q are applied
-    to y = sqrt(w) amp, ``_WY_BLOCK`` at a time in compact-WY form
-    (T^-1 as in Joffrain et al., ACM Trans. Math. Softw. 32, 169 (2006)),
-    giving Q^T y, and H is freed. The levels are the
+    to y = sqrt(w) amp by LAPACK's blocked dormqr, as dormtr does, giving
+    Q^T y, and H is freed. The levels are the
     eigenpairs (E_v, z_v) of T_d in (-inf, asymptote], by bisection and
     inverse iteration (dstebz, dstein), as LAPACK's windowed dsyevr finds
     them; the phi-eigenvector of level v is Q z_v, so
@@ -218,35 +214,25 @@ def bound_populations(curve, grid: RadialGrid, amp: np.ndarray):
     asym = float(getattr(curve, "asymptote", 0.0))
     n = grid.n
     y = np.sqrt(grid.w) * amp
-    y = np.array([y.real, y.imag])            # (2, n): [re, im] rows
     h = hamiltonian_matrix(curve, grid)
-    # the reflector of column k is u = (0, .., 0, 1, a[k + 2:, k]),
-    # H_k = I - tau_k u u^T, and Q^T = H_{n-2} ... H_0
     a, d, e, tau, info = dsytrd(h.T, lower=1, lwork=32 * n, overwrite_a=1)
     if info != 0:
         raise NumericsError(f"tridiagonal reduction failed (info {info})")
-    for k0 in range(0, n - 1, _WY_BLOCK):
-        # H_k0 ... H_k1-1 = I - V T V^T (compact WY), with V the block's
-        # reflectors from row k0 + 1 on and T^-1 = triu(V^T V, 1) +
-        # diag(1/tau); a reflector with tau = 0 is the identity and drops
-        # out as a zero column. So the block takes y to y - V T^T V^T y.
-        # V is written over its own columns of a, which nothing reads again.
-        k1 = min(k0 + _WY_BLOCK, n - 1)
-        t, b = tau[k0:k1], k1 - k0
-        v = a[k0 + 1:, k0:k1]
-        v[np.triu_indices(b, 1)] = 0.0
-        v[np.diag_indices(b)] = 1.0
-        v[:, t == 0.0] = 0.0
-        t_inv = np.triu(v.T @ v, 1)
-        t_inv[np.diag_indices(b)] = np.divide(1.0, t, out=np.ones(b),
-                                              where=t != 0.0)
-        z = solve_triangular(t_inv, v.T @ y[:, k0 + 1:].T, trans="T")
-        y[:, k0 + 1:] -= (v @ z).T
-    del h, a
+    # Q = diag(1, Q'), and LAPACK's dormtr applies Q'^T as dormqr on
+    # a[1:, :n - 1] with leading dimension n. scipy's dormqr takes
+    # contiguous arrays, so that block goes in as the (n, n - 1) array
+    # that starts at a[1, 0]; dormqr reads only its first n - 1 rows.
+    v = a.ravel(order="F")[1:1 + n * (n - 1)].reshape(n, n - 1, order="F")
+    qy = np.array([y.real, y.imag]).T         # [re, im] columns, Fortran
+    lwork = int(dormqr("L", "T", v, tau, qy[1:], -1)[1][0])
+    qy[1:], _, info = dormqr("L", "T", v, tau, qy[1:], lwork)
+    if info != 0:
+        raise NumericsError(f"reflector product failed (info {info})")
+    del h, a, v
     energies, z = eigh_tridiagonal(d, e, select="v",
                                    select_range=(-np.inf, asym),
                                    lapack_driver="stebz", check_finite=False)
-    c = z.T @ y.T                             # (levels, [re, im])
+    c = z.T @ qy                              # (levels, [re, im])
     return energies, np.sum(c * c, axis=1)
 
 

@@ -23,9 +23,9 @@ J. Chem. Phys. 96, 1982 (1992)). B and B^T are Toeplitz-plus-Hankel in
 that one real table, so applied to vectors T_phi runs as two FFT linear
 convolutions against it along the node axis (complex FFTs on complex
 input, real ones on real input), zero-padded to a 5-smooth length
-L >= 3n + 2 (:attr:`RadialGrid.kinetic_fft_len`). As a dense matrix it
-is B^T B, accumulated over row blocks of B into one n x n array, so the
-build never holds B whole.
+L >= 3n + 2 (:attr:`RadialGrid.kinetic_fft_len`). As a dense matrix,
+B^T B has a closed form in O(n^2) operations (:func:`kinetic_matrix`),
+so B is never formed.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 from scipy.interpolate import CubicSpline, PchipInterpolator
-from scipy.linalg.blas import dsyrk
 
 from .errors import (DomainError, GridCapacityError, GridMismatchError,
                      RangeError)
@@ -242,8 +241,11 @@ def build_grid(sys, n: int, r_lo: float, r_hi: float, kind: str = "uniform",
 def _mapped_gram(grid: RadialGrid, u: np.ndarray,
                  row: np.ndarray = None) -> np.ndarray:
     """D^T diag(1/J_full) D u / (2 mu) along the last axis of u, shape
-    (..., n), real or complex, with D of :func:`_mapped_derivative`, so
-    that T_phi x = J^-1/2 of this at u = J^-1/2 x.
+    (..., n), real or complex, so that T_phi x = J^-1/2 of this at
+    u = J^-1/2 x. D = O P k S takes phi at the n sine nodes to d/dx at
+    the N+1 cosine nodes (N = n+1, both edges included); with
+    kx = kappa * k, D[m, j] = (kappa / N) c_m (F(j + m) + F(j - m)),
+    c_0 = c_N = 1/sqrt(2) and c_m = 1 otherwise.
 
     With N = n+1, c(s) = sum_j F(j - s) u_j for s = -N..N gives
     (D u)_m = (kappa / N) c_m (c(m) + c(-m)), and e(t) = sum_m F(t - m) y_m
@@ -308,38 +310,6 @@ def _row_scale(grid: RadialGrid) -> np.ndarray:
     return r
 
 
-def _mapped_derivative(grid: RadialGrid):
-    """B = diag(J_full^-1/2) D diag(J^-1/2), shape (n+2, n), so that the
-    mapped kinetic matrix is B^T B / (2 mu), yielded as C-ordered blocks
-    of consecutive rows, top to bottom; the whole of B is never formed.
-
-    D = O P k S takes phi at the n sine nodes to d/dx at the N+1 cosine
-    nodes (N = n+1, both edges included). With kx = kappa * k,
-
-        D[m, j] = (kappa / N) c_m (F(j + m) + F(j - m)),
-
-    c_0 = c_N = 1/sqrt(2) and c_m = 1 otherwise, where
-
-        F(p) = sum_{k=1}^{N-1} k sin(pi k p / N)
-             = -(N/2) (-1)^p cot(pi p / 2N),  and 0 for p = 0 mod 2N.
-
-    j + m and j - m span [-N, 2N], so one table of F fills all of D.
-    """
-    n = grid.n
-    big = n + 1
-    f = _cot_sum(big, np.arange(-big, 2 * big + 1))   # F(p) is f[p + big]
-    # row m of F(j + m) starts at p = 1 + m, row m of F(j - m) at p = 1 - m
-    win = sliding_window_view(f, n)
-    scale = _row_scale(grid)[:, None]
-    sqrt_j = np.sqrt(grid.jac)
-    for m0 in range(0, n + 2, _BLOCK):
-        m1 = min(m0 + _BLOCK, n + 2)
-        b = win[big + 1 + m0:big + 1 + m1] + win[big + 1 - m0:big + 1 - m1:-1]
-        b *= scale[m0:m1]
-        b /= sqrt_j
-        yield b
-
-
 def mirror_upper(a: np.ndarray) -> np.ndarray:
     """Copy the strict upper triangle of the square Fortran-ordered ``a``
     onto its strict lower one, in place and in column blocks, so that
@@ -355,20 +325,88 @@ def mirror_upper(a: np.ndarray) -> np.ndarray:
 
 
 def kinetic_matrix(grid: RadialGrid) -> np.ndarray:
-    """Dense kinetic matrix in the phi representation (plain symmetric).
+    """Dense kinetic matrix in the phi representation (plain symmetric),
+    T = B^T B / (2 mu), built in O(n^2) from its closed form.
 
-    T = B^T B / (2 mu) with B from :func:`_mapped_derivative`, so no n x n
-    block is transformed. BLAS syrk accumulates the upper triangle of one
-    Fortran-ordered n x n array over row blocks of B, and the triangle is
-    mirrored, so T is symmetric to the bit and its build holds one n x n
-    array. The result is that array's transpose: C-ordered, and its own
-    Fortran view ``t.T`` is what LAPACK factors in place.
+    Column j of B is B[m, j] = r_m (F(j + m) + F(j - m)) J_j^-1/2, with
+    r_m from :func:`_row_scale` and F the cotangent sum of the module
+    docstring. With N = n+1, s_i = sin(pi i / N), y_i = cos(pi i / N),
+    x_m = cos(pi m / N), cot A + cot B = sin(A + B) / (sin A sin B) gives
+    F(i + m) + F(i - m) = -N (-1)^(i+m) s_i / (x_m - y_i) for m != i and
+    F(2i) = -(N/2) y_i / s_i. Partial fractions over m then sum B^T B in
+    closed form. With w_m = r_m^2 (m = 0..N),
+    g_i = (-1)^i N s_i / sqrt(8 mu J_i) and the sums over m != i
+
+        S_i = sum w_m / (x_m - y_i),    Q_i = sum w_m / (x_m - y_i)^2,
+
+    a_i = 4 S_i + 2 w_i y_i / s_i^2, b_i = 4 w_i and d = 1 / (y_i - y_j):
+
+        T_ij = g_i g_j ((a_i - a_j) d + (b_i + b_j) d^2),   i != j,
+        T_ii = g_i^2 (4 Q_i + w_i y_i^2 / s_i^4).
+
+    Every cosine difference is a product of sines from one table,
+    x_m - y_i = -2 sin(pi (m + i) / 2N) sin(pi (m - i) / 2N), as plain
+    subtraction loses digits near the box edges; its reciprocal is the
+    product of two cosecants from the reciprocal table. S and Q run over
+    row blocks of those products. The upper triangle of one
+    Fortran-ordered n x n array is filled in column blocks and mirrored,
+    so T is symmetric to the bit and its build holds one n x n array. The
+    result is that array's transpose: C-ordered, and its own Fortran view
+    ``t.T`` is what LAPACK factors in place.
     """
     n = grid.n
-    t = np.zeros((n, n), order="F")
-    for b in _mapped_derivative(grid):
-        # T += B_k^T B_k / 2 mu, B_k^T as the Fortran view of the C block
-        dsyrk(0.5 / grid.mu, b.T, beta=1.0, c=t, overwrite_c=1)
+    big = n + 1
+    # sin(pi k / 2N) for k = -N..2N as sn[k + N], from arguments up to
+    # pi / 2 only; s_i = sin(2 pi i / 2N), y_i = sin(pi (N - 2i) / 2N)
+    half = np.sin(0.5 * np.pi / big * np.arange(big + 1))
+    sn = np.concatenate([-half[:0:-1], half, half[-2::-1]])
+    s, y = sn[big + 2:3 * big:2], sn[2 * big - 2:0:-2]
+    # its reciprocal, with the k = 0 entry 0: that drops the m = i terms
+    # from the sums and leaves T_ii to its own formula
+    with np.errstate(divide="ignore"):
+        csc = 1.0 / sn
+    csc[big] = 0.0
+    # win[a, c] = csc[a + c], so every cosine difference is a product of
+    # two views: 1 / (cos(pi a / N) - cos(pi c / N)) =
+    # -csc(pi (a + c) / 2N) csc(pi (a - c) / 2N) / 2
+    win = sliding_window_view(csc, big + 1)
+    w = _row_scale(grid) ** 2               # m = 0..N
+    wi = w[1:big]
+    sums, sums2 = np.empty(n), np.empty(n)
+    # two blocks of work rows, shared by both passes
+    e, da = np.empty((2, min(_BLOCK, n), big + 1))
+    for p0 in range(0, n, _BLOCK):
+        p1 = min(p0 + _BLOCK, n)
+        # rows i = p0+1..p1, columns m = 0..N: -2 / (x_m - y_i)
+        u = np.multiply(win[big + 1 + p0:big + 1 + p1],
+                        win[big - 1 - p0:big - 1 - p1:-1], out=e[:p1 - p0])
+        sums[p0:p1] = u @ w
+        u *= u
+        sums2[p0:p1] = u @ w
+    # S_i = -sums / 2 and Q_i = sums2 / 4; with d = -e / 2 and a' = -2 a,
+    # T_ij = (g_i / 2)(g_j / 2)((a'_i - a'_j) e + (b_i + b_j) e^2)
+    a = 4.0 * sums - 4.0 * wi * y / s**2
+    b = 4.0 * wi
+    sign = np.where(np.arange(n) % 2 == 0, -big, big)
+    g = 0.5 * sign * s / np.sqrt(8.0 * grid.mu * grid.jac)
+    t = np.empty((n, n), order="F")
+    for q0 in range(0, n, _BLOCK):
+        q1 = min(q0 + _BLOCK, n)
+        # e[q, p] = -2 / (y_p - y_q) for rows p < q1 of columns q0..q1,
+        # laid out like out, the C view of that block of t
+        eb, ab = e[:q1 - q0, :q1], da[:q1 - q0, :q1]
+        np.multiply(win[big + 2 + q0:big + 2 + q1, :q1],
+                    win[big - q0:big - q1:-1, :q1], out=eb)
+        np.subtract(a[:q1], a[q0:q1, None], out=ab)
+        out = t[:q1, q0:q1].T
+        np.add(b[:q1], b[q0:q1, None], out=out)
+        out *= eb
+        out += ab
+        out *= eb
+        out *= g[:q1]
+        out *= g[q0:q1, None]
+    del e, da, u, eb, ab       # work rows and views, before mirror_upper
+    np.fill_diagonal(t, 4.0 * g * g * (sums2 + wi * y * y / s**4))
     return mirror_upper(t).T
 
 

@@ -4,11 +4,17 @@ Levels are solved in the transformed (phi) representation where the grid
 Hamiltonian is a plain symmetric matrix; returned wavefunctions are psi
 values normalized against the grid quadrature weights, each with a fixed
 sign, so a full and a windowed solve return the same columns. Every
-dense solve works on H in place, through the Fortran view of the
-C-ordered matrix, and holds at most two n x n arrays: H and LAPACK's
-eigenvectors. The bound-level populations of an amplitude take no
-eigenvector on the grid: one in-place tridiagonal reduction, its
-reflectors applied to the amplitude, and the tridiagonal eigenpairs.
+dense solve reduces H in place to tridiagonal form once, through the
+Fortran view of the C-ordered matrix (LAPACK dsytrd), and takes every
+level energy from one dsterf pass over that reduction: a window is a
+slice of that array, the bound levels are its entries at or below the
+asymptote. So a windowed solve, the full solve and the bound-level
+populations give the same energies to the bit. Eigenvectors are formed
+only for the kept levels, by MRRR (dstemr) on the tridiagonal matrix and
+the reflector product (dormqr), and a solve holds at most two n x n
+arrays: H and the eigenvectors. The bound-level populations of an
+amplitude take no eigenvector on the grid: the reflectors are applied to
+the amplitude instead.
 The continuum start takes no full eigensolve: shift-invert Lanczos at
 the target energy on one in-place LDL^T factorization, whose inertia
 gives the level's place in the box spectrum.
@@ -20,9 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.linalg.blas import dsymv
-from scipy.linalg.lapack import dormqr, dsytrd, dsytrf, dsytrs
+from scipy.linalg.lapack import (dormqr, dstemr, dsterf, dsytrd, dsytrf,
+                                 dsytrs)
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import (DomainError, GridMismatchError, NumericsError,
@@ -30,6 +36,17 @@ from .errors import (DomainError, GridMismatchError, NumericsError,
 from .grids import (_BLOCK, RadialGrid, build_uniform, build_adaptive,
                     kinetic_matrix, mirror_upper)
 from .units import ps2au
+
+
+def _channel(curve) -> str:
+    return getattr(curve, "name", "") or "channel"
+
+
+def _check(info: int, routine: str, curve):
+    if info != 0:
+        raise NumericsError(
+            f"LAPACK {routine} failed on the {_channel(curve)} Hamiltonian "
+            f"(info {info}); check its potential and grid")
 
 
 def hamiltonian_matrix(curve, grid: RadialGrid) -> np.ndarray:
@@ -50,8 +67,7 @@ def hamiltonian_matrix(curve, grid: RadialGrid) -> np.ndarray:
     bad = ~np.isfinite(v)
     if bad.any():
         i = int(np.argmax(bad))
-        label = getattr(curve, "name", "") or "channel"
-        raise DomainError(f"{label} potential is {v[i]} at r = "
+        raise DomainError(f"{_channel(curve)} potential is {v[i]} at r = "
                           f"{float(grid.r[i])!r} bohr (node {i})")
     h = kinetic_matrix(grid)
     h[np.diag_indices_from(h)] += v
@@ -59,7 +75,7 @@ def hamiltonian_matrix(curve, grid: RadialGrid) -> np.ndarray:
 
 
 def _phi_to_psi(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
-    # in place and in column blocks: eigh returns sum(phi^2) = 1; physical
+    # in place and in column blocks: LAPACK returns sum(phi^2) = 1; physical
     # normalization is sum w |psi|^2 = 1. LAPACK drivers disagree on
     # column signs, so each column is flipped to make its first component
     # above 1e-3 max|phi| positive.
@@ -120,21 +136,82 @@ class LevelSet:
         return out
 
 
+def _reduce(curve, grid: RadialGrid):
+    """One in-place reduction of H = T + V to a tridiagonal T_d = Q^T H Q
+    (dsytrd, lower; a workspace of 32 n blocks it, where LAPACK's default
+    n runs it unblocked), and every level energy from one dsterf pass
+    over T_d. Returns (a, d, e, tau, energies): a is H's array holding
+    the reflectors of Q, d and e are T_d, the energies ascend. Every
+    energy a dense solve reports is taken from this one array."""
+    n = grid.n
+    h = hamiltonian_matrix(curve, grid)
+    a, d, e, tau, info = dsytrd(h.T, lower=1, lwork=32 * n, overwrite_a=1)
+    _check(info, "dsytrd", curve)
+    energies, info = dsterf(d, e)
+    _check(info, "dsterf", curve)
+    return a, d, e, tau, energies
+
+
+def _tridiagonal_vectors(curve, d, e, lo: int, hi: int) -> np.ndarray:
+    """Eigenvectors lo..hi-1 (0-based, ascending) of the tridiagonal (d, e)
+    by MRRR (dstemr), in the first hi - lo columns of an n x n Fortran
+    array; all n at once where that is every level, since an index range
+    over all of them is slower. dstemr's own eigenvalues are dropped: the
+    energies are :func:`_reduce`'s."""
+    n = len(d)
+    if lo == hi:
+        return np.empty((n, 0), order="F")
+    sub = np.zeros(n)                       # dstemr overwrites its e
+    sub[:-1] = e
+    every = lo == 0 and hi == n
+    _, _, z, info = dstemr(d, sub, 0 if every else 2, 0.0, 0.0,
+                           lo + 1, hi)
+    _check(info, "dstemr", curve)
+    return z
+
+
+def _apply_q(curve, a, tau, z: np.ndarray, trans: str = "N"):
+    """z <- Q z (or Q^T z for ``trans="T"``) in place, Q from dsytrd's
+    reflectors in ``a``, by LAPACK's blocked dormqr on rows 1..n-1 of
+    _BLOCK columns of z at a time, so the copy scipy makes of each block
+    stays small."""
+    if not z.shape[1]:
+        return
+    # Q = diag(1, Q'), and LAPACK's dormtr applies Q' as dormqr on
+    # a[1:, :n - 1] with leading dimension n. scipy's dormqr takes
+    # contiguous arrays, so that block goes in as the (n, n - 1) view of
+    # a that starts at a[1, 0]; dormqr reads only its first n - 1 rows
+    n = len(a)
+    v = a.ravel(order="F")[1:1 + n * (n - 1)].reshape(n, n - 1, order="F")
+    lwork = int(dormqr("L", trans, v, tau, z[1:, :_BLOCK], -1)[1][0])
+    for j0 in range(0, z.shape[1], _BLOCK):
+        blk, _, info = dormqr("L", trans, v, tau, z[1:, j0:j0 + _BLOCK],
+                              lwork)
+        _check(info, "dormqr", curve)
+        z[1:, j0:j0 + _BLOCK] = blk
+        del blk                             # before the next block's copy
+
+
 def solve_levels(curve, grid: RadialGrid, window=None,
                  verify_resolution: bool = False,
                  drift_tol: float = 1e-6) -> LevelSet:
-    """Eigenpairs of T + V on the grid from one ``eigh`` call, optionally
-    restricted to the energy window (lo, hi] (hartree).
+    """Eigenpairs of T + V on the grid, optionally restricted to the
+    energy window (lo, hi] (hartree).
 
-    Without a window the full spectrum is returned. With one, ``eigh``
-    solves only up to hi, the levels at or below lo are dropped, and
-    ``first_index`` counts them; lo may be ``-inf``, so
-    ``window=(-np.inf, asymptote)`` gives the bound levels alone.
+    Without a window the full spectrum is returned. With one, the levels
+    at or below lo are dropped and ``first_index`` counts them; lo may be
+    ``-inf``, so ``window=(-np.inf, asymptote)`` gives the bound levels
+    alone. A window that holds no level gives a set of none.
 
-    ``eigh`` overwrites H in place, and H is dropped before the states
-    are signed and scaled, so the solve holds at most two n x n arrays:
-    H and LAPACK's eigenvector array, which a window cuts down to its
-    kept columns.
+    H is reduced in place to tridiagonal form once, and every energy is
+    taken from one dsterf pass over all n levels (:func:`_reduce`): the
+    window is a slice of that array. So a windowed solve, the full one
+    and :func:`bound_populations` give the same energies to the bit. Only
+    the eigenvectors of the kept levels are formed, by MRRR (dstemr) on
+    the tridiagonal matrix and LAPACK's blocked reflector product
+    (dormqr). The solve holds at most two n x n arrays: H and dstemr's
+    eigenvector array, which a window cuts down to its kept columns
+    once H is dropped.
 
     Parameters
     ----------
@@ -146,28 +223,28 @@ def solve_levels(curve, grid: RadialGrid, window=None,
     ------
     ResolutionError
         If verification finds drift above tolerance.
+    NumericsError
+        If a LAPACK routine reports failure; the message names it and
+        the channel.
     """
     if window is not None and not window[0] < window[1]:
         raise DomainError(f"bad energy window [{window[0]}, {window[1]}]")
-    h = hamiltonian_matrix(curve, grid)
+    n = grid.n
+    a, d, e, tau, evals = _reduce(curve, grid)
+    first, last = 0, n
     if window is not None:
-        # for a window by value LAPACK returns an n x n eigenvector array
-        evals, z = eigh(h.T, subset_by_value=(-np.inf, window[1]),
-                        overwrite_a=True, check_finite=False)
-        del h
-        first = int(np.searchsorted(evals, window[0], side="right"))
-        evals, phi = evals[first:], z[:, first:].copy(order="F")
-        del z
-    else:
-        evals, phi = eigh(h.T, overwrite_a=True, check_finite=False)
-        del h
-        first = 0
+        first, last = (int(k) for k in
+                       np.searchsorted(evals, window, side="right"))
+    evals = evals[first:last]
+    z = _tridiagonal_vectors(curve, d, e, first, last)
+    _apply_q(curve, a, tau, z[:, :last - first])
+    del a
+    phi = z if last - first == n else z[:, :last - first].copy(order="F")
+    del z
     asym = float(curve.asymptote) if hasattr(curve, "asymptote") else 0.0
     levels = LevelSet(evals, _phi_to_psi(grid, phi), grid, asym, first)
     if verify_resolution:
-        fine = _refined(grid)
-        evals2 = eigh(hamiltonian_matrix(curve, fine).T, eigvals_only=True,
-                      overwrite_a=True, check_finite=False)
+        evals2 = _reduce(curve, _refined(grid))[4]
         if window is not None:
             check = evals
             ref_lo = int(np.searchsorted(evals2, window[0]))
@@ -195,45 +272,31 @@ def bound_populations(curve, grid: RadialGrid, amp: np.ndarray):
     amplitude ``amp`` (psi values, complex or real) in each. No
     eigenvector is formed on the grid.
 
-    H is reduced in place to a tridiagonal T_d = Q^T H Q (LAPACK dsytrd;
-    a workspace of 32 n blocks it, where LAPACK's default n runs it
-    unblocked). The n - 1 Householder reflectors that make Q are applied
-    to y = sqrt(w) amp by LAPACK's blocked dormqr, as dormtr does, giving
-    Q^T y, and H is freed. The levels are the
-    eigenpairs (E_v, z_v) of T_d in (-inf, asymptote], by bisection and
-    inverse iteration (dstebz, dstein), as LAPACK's windowed dsyevr finds
-    them; the phi-eigenvector of level v is Q z_v, so
-    <v|amp> = z_v^T Q^T y. So the energies are those of
-    ``solve_levels(curve, grid, window=(-inf, asymptote))`` to the bit and
-    the populations those of :func:`~coldpa.observables.level_populations`
-    on it, from one n x n array where that solve holds two.
+    H is reduced in place to a tridiagonal T_d = Q^T H Q, with every
+    energy from one dsterf pass (:func:`_reduce`); the bound ones are the
+    entries at or below the asymptote. The n - 1 Householder reflectors
+    that make Q are applied to y = sqrt(w) amp by LAPACK's blocked dormqr,
+    as dormtr does, giving Q^T y, and H is freed. The eigenvectors z_v of
+    T_d for those levels come from MRRR (dstemr); the phi-eigenvector of
+    level v is Q z_v, so <v|amp> = z_v^T Q^T y. So the energies are those
+    of ``solve_levels(curve, grid, window=(-inf, asymptote))`` to the bit
+    and the populations those of
+    :func:`~coldpa.observables.level_populations` on it, from one n x n
+    array where that solve holds two.
     """
     amp = np.asarray(amp)
     if amp.shape != (grid.n,):
         raise GridMismatchError("channel amplitude length != grid size")
     asym = float(getattr(curve, "asymptote", 0.0))
-    n = grid.n
     y = np.sqrt(grid.w) * amp
-    h = hamiltonian_matrix(curve, grid)
-    a, d, e, tau, info = dsytrd(h.T, lower=1, lwork=32 * n, overwrite_a=1)
-    if info != 0:
-        raise NumericsError(f"tridiagonal reduction failed (info {info})")
-    # Q = diag(1, Q'), and LAPACK's dormtr applies Q'^T as dormqr on
-    # a[1:, :n - 1] with leading dimension n. scipy's dormqr takes
-    # contiguous arrays, so that block goes in as the (n, n - 1) array
-    # that starts at a[1, 0]; dormqr reads only its first n - 1 rows.
-    v = a.ravel(order="F")[1:1 + n * (n - 1)].reshape(n, n - 1, order="F")
+    a, d, e, tau, energies = _reduce(curve, grid)
     qy = np.array([y.real, y.imag]).T         # [re, im] columns, Fortran
-    lwork = int(dormqr("L", "T", v, tau, qy[1:], -1)[1][0])
-    qy[1:], _, info = dormqr("L", "T", v, tau, qy[1:], lwork)
-    if info != 0:
-        raise NumericsError(f"reflector product failed (info {info})")
-    del h, a, v
-    energies, z = eigh_tridiagonal(d, e, select="v",
-                                   select_range=(-np.inf, asym),
-                                   lapack_driver="stebz", check_finite=False)
+    _apply_q(curve, a, tau, qy, "T")
+    del a
+    m = int(np.searchsorted(energies, asym, side="right"))
+    z = _tridiagonal_vectors(curve, d, e, 0, m)[:, :m]
     c = z.T @ qy                              # (levels, [re, im])
-    return energies, np.sum(c * c, axis=1)
+    return energies[:m], np.sum(c * c, axis=1)
 
 
 def _refined(grid: RadialGrid) -> RadialGrid:

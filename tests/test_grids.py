@@ -178,6 +178,46 @@ def test_kinetic_matrix_closed_form_matches_transforms(refine):
     assert evals[0] > -1e-12 * evals[-1]
 
 
+def _dense_gram(g):
+    """T = B^T B / (2 mu) from the whole (n+2) x n matrix
+    B[m, j] = r_m (F(j + m) + F(j - m)) J_j^-1/2, m = 0..N, with
+    F(p) = -(N/2) (-1)^p cot(pi p / 2N) (0 for p = 0 mod 2N) and r_m the
+    row scale (kappa / N) c_m J_full,m^-1/2."""
+    n = g.n
+    big = n + 1
+    p = np.arange(-big, 2 * big + 1)
+    f = np.zeros(len(p))
+    live = p % (2 * big) != 0
+    f[live] = (-0.5 * big * np.where(p[live] % 2 == 0, 1.0, -1.0)
+               / np.tan(0.5 * np.pi * p[live] / big))
+    m = np.arange(n + 2)[:, None]
+    j = np.arange(1, n + 1)
+    c = np.ones(n + 2)
+    c[[0, -1]] = np.sqrt(0.5)
+    r = (g.kx[0] / big) * c / np.sqrt(g.jac_full)
+    b = (f[j + m + big] + f[j - m + big]) * r[:, None] / np.sqrt(g.jac)
+    return b.T @ b / (2.0 * g.mu)
+
+
+@pytest.mark.parametrize("which", ["uniform8", "uniform99", "n120", "n241",
+                                   "n1400"])
+def test_kinetic_matrix_matches_dense_gram(which):
+    if which.startswith("uniform"):
+        g = build_uniform(2.0, 12.0, int(which[7:]), MU)
+    elif which == "n1400":
+        g = build_grid(reference_system(), 1400, 2.0, 200.0, kind="adaptive")
+    else:
+        g = _adaptive(n=120)
+        if which == "n241":
+            g = _refined(g)
+    ref = _dense_gram(g)
+    t = kinetic_matrix(g)
+    np.testing.assert_allclose(t, ref, rtol=0,
+                               atol=1e-13 * np.max(np.abs(ref)))
+    assert np.array_equal(t, t.T)
+    assert t.flags.c_contiguous
+
+
 def test_kinetic_ceiling_covers_mapped_spectrum():
     # the propagator's bounds take k_max^2 / 2 mu as the kinetic ceiling
     g = build_grid(reference_system(), 1400, 2.0, 200.0, kind="adaptive")

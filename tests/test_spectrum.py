@@ -215,7 +215,8 @@ def test_continuum_state_matches_full_spectrum(monkeypatch):
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("continuum_state ran a dense eigensolve")
 
-    monkeypatch.setattr(spectrum, "eigh", no_eigensolve)
+    # every dense eigensolve starts by reducing H to tridiagonal form
+    monkeypatch.setattr(spectrum, "dsytrd", no_eigensolve)
     monkeypatch.setattr(spectrum, "solve_levels", no_eigensolve)
     # three thermal targets (kT = 7.6e-5 1/cm at 0.11 mK), then three high
     # above threshold, where the grid levels are sparser than the free box
@@ -367,6 +368,83 @@ def test_bound_populations_match_windowed_levels(which, analog_grid):
         np.testing.assert_allclose(pops, want, rtol=0.0, atol=1e-12)
         # the amplitude reaches the continuum: the bound part is not all
         assert 0.05 < np.sum(pops) < 0.95
+
+
+def _named_morse(r):
+    return _morse(r)
+
+
+_named_morse.asymptote = 0.0
+_named_morse.name = "ground"
+
+
+@pytest.mark.parametrize("grid_name", ["morse512", "n420"])
+def test_one_reduction_gives_every_energy_to_the_bit(grid_name, monkeypatch):
+    # T plus fixed symmetric +-2 ulp noise: the energies of the windowed
+    # solve, the full one and bound_populations must still agree to the
+    # bit, as all three come from one dsterf pass over one reduction
+    if grid_name == "morse512":
+        grid = build_uniform(1.5, 30.0, 512, MU)
+        curves = (_morse,)
+    else:
+        sys_, grid = _reference_grid(420, 60.0)
+        curves = (sys_.ground, sys_.excited)
+
+    def noisy(g):
+        t = kinetic_matrix(g)
+        k = np.random.default_rng(5).integers(-2, 3, t.shape)
+        k = np.triu(k) + np.triu(k, 1).T
+        return t + k * np.spacing(np.abs(t))
+
+    monkeypatch.setattr(spectrum, "kinetic_matrix", noisy)
+    assert np.array_equal(noisy(grid), noisy(grid).T)
+    for curve in curves:
+        asym = curve.asymptote
+        full = solve_levels(curve, grid)
+        win = solve_levels(curve, grid, window=(-np.inf, asym))
+        assert np.array_equal(win.energies, full.bound().energies)
+        energies, _ = bound_populations(curve, grid, grid.r)
+        assert np.array_equal(energies, win.energies)
+        e = full.energies
+        lo, hi = 0.5 * (e[1] + e[2]), 0.5 * (e[5] + e[6])
+        assert np.array_equal(
+            solve_levels(curve, grid, window=(lo, hi)).energies, e[2:6])
+        # a window between two levels holds none of them
+        empty = solve_levels(curve, grid, window=(e[3], 0.5 * (e[3] + e[4])))
+        assert empty.n_levels == 0 and empty.first_index == 4
+
+
+def test_empty_window_gives_no_levels():
+    g = build_uniform(1.5, 30.0, 512, MU)
+    e = solve_levels(_morse, g).energies
+    for lo, hi, first in ((e[0] - 1.0, e[0] - 0.5, 0),
+                          (e[2], 0.5 * (e[2] + e[3]), 3),
+                          (e[-1], e[-1] + 1.0, g.n)):
+        win = solve_levels(_morse, g, window=(lo, hi))
+        assert win.n_levels == 0
+        assert win.states.shape == (g.n, 0)
+        # first_index counts the levels at or below lo
+        assert win.first_index == first
+
+
+@pytest.mark.parametrize("routine,info", [("dsterf", 1), ("dstemr", 2),
+                                          ("dormqr", -5)])
+def test_lapack_failure_names_routine_and_channel(routine, info,
+                                                  monkeypatch):
+    g = build_uniform(2.0, 12.0, 64, MU)
+    real = getattr(spectrum, routine)
+    monkeypatch.setattr(spectrum, routine,
+                        lambda *a, **kw: real(*a, **kw)[:-1] + (info,))
+    want = re.escape(f"LAPACK {routine} failed on the ground Hamiltonian "
+                     f"(info {info})")
+    for solve in (lambda: solve_levels(_named_morse, g),
+                  lambda: solve_levels(_named_morse, g, window=(-1.0, 0.0)),
+                  lambda: bound_populations(_named_morse, g, g.r)):
+        with pytest.raises(NumericsError, match=want):
+            solve()
+    # an unnamed curve is reported as a channel
+    with pytest.raises(NumericsError, match="on the channel Hamiltonian"):
+        solve_levels(_morse, g)
 
 
 def _peak_n2(fn, n):

@@ -20,10 +20,12 @@ B = diag(J_full^-1/2) O P k S diag(J^-1/2), and O P k S has a closed form
 from the sum F(p) = sum_k k sin(pi k p / (N+1)) = -((N+1)/2) (-1)^p
 cot(pi p / (2N+2)) (cf. the sine-DVR kinetic formula of Colbert & Miller,
 J. Chem. Phys. 96, 1982 (1992)). B and B^T are Toeplitz-plus-Hankel in
-that one real table, so applied to vectors T_phi runs as two FFT linear
-convolutions against it along the node axis (complex FFTs on complex
-input, real ones on real input), zero-padded to a 5-smooth length
-L >= 3n + 2 (:attr:`RadialGrid.kinetic_fft_len`). As a dense matrix,
+that one real table, so applied to vectors T_phi runs as two
+convolutions against it along the node axis, each one forward and one
+inverse FFT (complex FFTs on complex input, real ones on real input).
+Taken apart, the Toeplitz and the Hankel half are each wrap-free at a
+5-smooth length L >= 2n + 1 (:attr:`RadialGrid.kinetic_fft_len`), and
+they add as two spectra on the one transform pair. As a dense matrix,
 B^T B has a closed form in O(n^2) operations (:func:`kinetic_matrix`),
 so B is never formed.
 """
@@ -108,19 +110,26 @@ class RadialGrid:
     @property
     def kinetic_fft_len(self) -> int:
         """FFT length of the kinetic step on vectors: the 5-smooth
-        convolution length L >= 3n+2."""
-        return sfft.next_fast_len(3 * self.n + 2, real=True)
+        length L >= 2n+1, over which each Toeplitz and Hankel half of
+        the two convolutions is wrap-free."""
+        return sfft.next_fast_len(2 * self.n + 1, real=True)
 
     @cached_property
     def _convolution(self):
-        """(rfft and complex fft of G(p) = -F(p) on p = -2n-1..n at the
-        length L, J^-1/2, J^-1, r_m^2 / 2 mu) for :func:`_mapped_gram`,
-        with r_m from :func:`_row_scale`. Built on first use, once per
-        grid."""
+        """(spectra, J^-1/2, J^-1, r_m^2 / 2 mu) for :func:`_mapped_gram`,
+        with r_m from :func:`_row_scale`. The spectra are
+        (K1, conj K1, conj K2), K1 and K2 the length-L DFTs of the real
+        tables k1[q] = F(1 - q), q = 1-n..n+1, and k2[q] = F(q + 1),
+        q = 0..2n, each placed at q mod L; their first L/2 + 1 entries
+        serve real input. Built on first use, once per grid."""
         n, big = self.n, self.n + 1
-        g = -_cot_sum(big, np.arange(-2 * n - 1, n + 1))
         size = self.kinetic_fft_len
-        return (sfft.rfft(g, size), sfft.fft(g, size),
+        q = np.arange(1 - n, n + 2)
+        k1 = np.zeros(size)
+        k1[q % size] = _cot_sum(big, 1 - q)
+        spec1 = sfft.fft(k1)
+        spec2 = sfft.fft(_cot_sum(big, np.arange(1, 2 * n + 2)), size)
+        return ((spec1, spec1.conj(), spec2.conj()),
                 1.0 / np.sqrt(self.jac), 1.0 / self.jac,
                 _row_scale(self) ** 2 / (2.0 * self.mu))
 
@@ -238,6 +247,21 @@ def build_grid(sys, n: int, r_lo: float, r_hi: float, kind: str = "uniform",
 
 # kinetic operator -----------------------------------------------------------
 
+def _toeplitz_hankel(x, a, b, real):
+    """a X + B X(-k) for the DFT X of a sequence along the last axis, with
+    b = conj B, in place in x. X(-k) is the DFT of the index-reversed
+    sequence and B that of a real table, so B(k) X(-k) = (b X)(-k); for a
+    real sequence, given as its rfft half, that is conj(b X)."""
+    out = x * a
+    x *= b
+    if real:
+        out += np.conjugate(x, out=x)
+    else:
+        out[..., 0] += x[..., 0]
+        out[..., 1:] += x[..., :0:-1]
+    return out
+
+
 def _mapped_gram(grid: RadialGrid, u: np.ndarray,
                  row: np.ndarray = None) -> np.ndarray:
     """D^T diag(1/J_full) D u / (2 mu) along the last axis of u, shape
@@ -247,35 +271,36 @@ def _mapped_gram(grid: RadialGrid, u: np.ndarray,
     kx = kappa * k, D[m, j] = (kappa / N) c_m (F(j + m) + F(j - m)),
     c_0 = c_N = 1/sqrt(2) and c_m = 1 otherwise.
 
-    With N = n+1, c(s) = sum_j F(j - s) u_j for s = -N..N gives
-    (D u)_m = (kappa / N) c_m (c(m) + c(-m)), and e(t) = sum_m F(t - m) y_m
-    gives (D^T v)_j = e(j) - e(-j) for y_m = (kappa / N) c_m v_m. Both
-    are linear convolutions with F on p = -2n-1..n, done as one forward
-    and one inverse FFT each at the length L of
-    :attr:`RadialGrid.kinetic_fft_len`; L >= 3n+2, so no kept output
-    wraps. The table is real, so a complex u is convolved directly by
-    complex FFTs and a real one by real FFTs, every row at once.
+    (D u)_m = (kappa / N) c_m y_m with the Toeplitz-plus-Hankel sums
+    y_m = sum_j F(j - m) u_j + sum_j F(j + m) u_j, m = 0..N, and
+    (D^T v)_j = e(j) - e(-j) with e(t) = sum_m F(t - m) y'_m for
+    y'_m = (kappa / N) c_m v_m. Each half is a circular convolution of
+    length L >= 2n+1 (:attr:`RadialGrid.kinetic_fft_len`) that no kept
+    output wraps: the Hankel halves convolve the index-reversed input,
+    or reverse the output, whose DFTs are X(-k). With the tables of
+    :attr:`RadialGrid._convolution`, Y = K1 U + K2 U(-k) and, as the
+    tables are real, Z = conj(K1) Y' + K2 Y'(-k): one forward and one
+    inverse FFT per product. A complex u runs through complex FFTs and a
+    real one through real FFTs, every row at once.
 
     ``row`` replaces the middle row scale r_m^2 / 2 mu; a caller folds a
     constant factor into it (the propagator its 2 / half_span).
     """
     n = grid.n
-    spec_r, spec_c, _, _, r2 = grid._convolution
+    spectra, _, _, r2 = grid._convolution
     size = grid.kinetic_fft_len
-    if np.iscomplexobj(u):
-        fwd, inv, spec = sfft.fft, sfft.ifft, spec_c
+    real = not np.iscomplexobj(u)
+    if real:
+        fwd, inv = sfft.rfft, sfft.irfft
+        spectra = [s[:size // 2 + 1] for s in spectra]
     else:
-        fwd, inv, spec = sfft.rfft, sfft.irfft, spec_r
-    a = fwd(u, size)
-    a *= spec
-    c = inv(a, size, overwrite_x=True)[..., n - 1:3 * n + 2]  # s = -N..N
-    y = c[..., n + 1:] + c[..., n + 1::-1]
+        fwd, inv = sfft.fft, sfft.ifft
+    k1, k1c, k2c = spectra
+    a = _toeplitz_hankel(fwd(u, size), k1, k2c, real)
+    y = inv(a, size, overwrite_x=True)[..., :n + 2]          # m = 0..N
     y *= r2 if row is None else row
-    # the table holds G = -F: e(t) = -h[t + 2n + 1], z_j = e(j) - e(-j)
-    b = fwd(y, size)
-    b *= spec
-    h = inv(b, size, overwrite_x=True)
-    return h[..., 2 * n:n:-1] - h[..., 2 * n + 2:3 * n + 2]
+    b = _toeplitz_hankel(fwd(y, size), k1c, k2c, real)
+    return inv(b, size, overwrite_x=True)[..., :n]
 
 
 def apply_kinetic_phi(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
@@ -283,12 +308,13 @@ def apply_kinetic_phi(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
 
     The similarity-transformed operator J^{-1/2} d/dx (1/J) d/dx J^{-1/2}
     as the symmetric PSD Gram form B^T B / (2 mu), applied by two FFT
-    convolutions at the 5-smooth length :attr:`RadialGrid.kinetic_fft_len`
-    (:func:`_mapped_gram`). On a uniform grid (J == 1) it is the spectral
-    sine-basis operator, exact for basis members. Accepts (n,) or (n, m)
-    arrays, real or complex (columns transformed independently).
+    convolutions at the 5-smooth length L >= 2n+1 of
+    :attr:`RadialGrid.kinetic_fft_len` (:func:`_mapped_gram`). On a
+    uniform grid (J == 1) it is the spectral sine-basis operator, exact
+    for basis members. Accepts (n,) or (n, m) arrays, real or complex
+    (columns transformed independently).
     """
-    rj = grid._convolution[2]               # J^-1/2
+    rj = grid._convolution[1]               # J^-1/2
     return (_mapped_gram(grid, phi.T * rj) * rj).T
 
 
@@ -298,7 +324,7 @@ def apply_kinetic(grid: RadialGrid, amp: np.ndarray) -> np.ndarray:
     It composes to the exact similarity pair (1/J) d/dx (1/J) d/dx of the
     physical second derivative.
     """
-    inv_j = grid._convolution[3]
+    inv_j = grid._convolution[2]
     return (_mapped_gram(grid, amp.T) * inv_j).T
 
 

@@ -21,18 +21,29 @@ from .grids import RadialGrid, TwoChannelState
 from .propagation import WALL_CLOCK_KEYS
 
 
-def format_float(x) -> str:
-    return "%.17g" % float(x)
-
-
 def write_csv(path, header, rows):
-    """rows: iterable of tuples; floats formatted at full precision."""
+    """rows: iterable of tuples; strings as they are, every other cell
+    through '%.17g'. Each row is written by one %-format built from its
+    cell types. A row keeps the previous row's format while it has the
+    same length and strings in the same columns; a string in a number
+    column makes '%.17g' raise TypeError, and the format is rebuilt."""
+    fmt, width, text = "", -1, []
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = [c if isinstance(c, str) else format_float(c)
-                     for c in row]
-            fh.write(",".join(cells) + "\n")
+            row = tuple(row)
+            if len(row) == width and (
+                    not text or all(isinstance(row[j], str) for j in text)):
+                try:
+                    fh.write(fmt % row)
+                    continue
+                except TypeError:
+                    pass
+            width = len(row)
+            text = [j for j, c in enumerate(row) if isinstance(c, str)]
+            fmt = ",".join("%s" if isinstance(c, str) else "%.17g"
+                           for c in row) + "\n"
+            fh.write(fmt % row)
 
 
 def read_csv(path):

@@ -24,7 +24,8 @@ eigendecomposition of that matrix, whose eigenvectors are the dressed
 states (Kosloff, Annu. Rev. Phys. Chem. 45, 145 (1994)).
 Larger grids take Chebyshev steps throughout, on the psi block itself:
 the kinetic energy as two complex-FFT convolutions against the real cot
-table at a 5-smooth length (see :mod:`coldpa.grids`), with 2 / half_span
+table, each its Toeplitz and Hankel halves on one transform pair at a
+5-smooth length L >= 2n+1 (see :mod:`coldpa.grids`), with 2 / half_span
 folded into its row scale; the potentials as one (2, n) diagonal; the
 coupling as one scalar on the channel-swapped rows. The Lanczos estimate
 of the top applies the same operator at shift 0 and scale 1. There a
@@ -200,7 +201,7 @@ class _Engine:
                 m[np.diag_indices_from(m)] -= shift * scale
                 self._op = m
             else:
-                self._op = (self.grid._convolution[4] * scale,
+                self._op = (self.grid._convolution[3] * scale,
                             (self.v - shift) * scale)
             self._op_key = key
         if dense:
@@ -209,7 +210,7 @@ class _Engine:
             np.fill_diagonal(m[n:, :n], w_eff * scale)
             return partial(np.matmul, m)
         row, diag = self._op
-        inv_j, ws = self.grid._convolution[3], w_eff * scale
+        inv_j, ws = self.grid._convolution[2], w_eff * scale
 
         def apply(x, out):
             t0 = time.perf_counter()

@@ -8,10 +8,10 @@ from scipy.linalg import eigh
 from coldpa.errors import (DomainError, GridCapacityError, GridMismatchError,
                            RangeError)
 from coldpa.grids import (MomentumSpectrum, RadialGrid, TwoChannelState,
-                          apply_kinetic, apply_kinetic_phi, build_adaptive,
-                          build_grid, build_uniform, ensure_same_grid,
-                          from_momentum, gaussian, inner, kinetic_matrix,
-                          normalize, same_grid, to_momentum)
+                          _mapped_gram, apply_kinetic, apply_kinetic_phi,
+                          build_adaptive, build_grid, build_uniform,
+                          ensure_same_grid, from_momentum, gaussian, inner,
+                          kinetic_matrix, normalize, same_grid, to_momentum)
 from coldpa.potentials import reference_system
 from coldpa.spectrum import _refined
 from coldpa.units import ps2au
@@ -296,11 +296,46 @@ def test_public_kinetic_keeps_its_contract(which):
 def test_kinetic_fft_length_is_smooth_on_reference_grid():
     g = build_grid(reference_system(), 1400, 2.0, 200.0, kind="adaptive")
     size = g.kinetic_fft_len
-    assert size == 4320 >= 3 * g.n + 2
+    assert size == 2880 >= 2 * g.n + 1
     for p in (2, 3, 5):
         while size % p == 0:
             size //= p
     assert size == 1
+
+
+@pytest.mark.parametrize("kind", ["uniform", "adaptive"])
+@pytest.mark.parametrize("n", [62, 63, 1249, 1400])
+def test_fft_kinetic_matches_closed_form_at_shortest_length(kind, n):
+    # each Toeplitz and Hankel half is wrap-free at L >= 2n+1; n = 62 runs
+    # at L = 2n+1 = 125 exactly, so a shorter length or a dropped index
+    # reversal breaks the match with the dense closed form
+    if kind == "uniform":
+        g = build_uniform(2.0, 22.0, n, MU)
+    elif n < 100:
+        g = _adaptive(n=n)
+    else:
+        g = build_grid(reference_system(), n, 2.0, 200.0, kind="adaptive")
+    if n == 62:
+        assert g.kinetic_fft_len == 2 * n + 1
+    rng = np.random.default_rng(n)
+    t = kinetic_matrix(g)
+    sj = np.sqrt(g.jac)
+    real = rng.standard_normal(n)
+    block = (rng.standard_normal((n, 3))
+             + 1j * rng.standard_normal((n, 3)))
+    for x in (real, block):
+        col = sj.reshape((-1,) + (1,) * (x.ndim - 1))
+        for fn, ref in ((apply_kinetic_phi, t @ x),
+                        (apply_kinetic, (t @ (col * x)) / col)):
+            np.testing.assert_allclose(fn(g, x), ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+    # the propagator's layout: a C-ordered channel-major (2, n) block of
+    # psi values, a constant folded into the middle row scale
+    psi = np.ascontiguousarray(block[:, :2].T)
+    ref = 2.5 * (sj * (t @ (sj * psi).T).T)
+    out = _mapped_gram(g, psi, 2.5 * g._convolution[3])
+    np.testing.assert_allclose(out, ref, rtol=0,
+                               atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_kinetic_columns_match_single_vectors():

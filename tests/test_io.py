@@ -9,16 +9,41 @@ import scipy.fft
 from coldpa.errors import ConfigError, DomainError
 from coldpa.grids import TwoChannelState, build_uniform, gaussian
 from coldpa.impulsive import PredictedPeak
-from coldpa.io import (format_float, load_state, make_run_dir, peaks_to_json,
-                       read_csv, read_json, save_grid, save_state,
+from coldpa.io import (load_state, make_run_dir, peaks_to_json, read_csv,
+                       read_json, save_grid, save_state,
                        save_timeseries, write_csv, write_json, write_manifest)
 from coldpa.propagation import TimeSeries
 from coldpa.units import ps2au
 
 
-def test_format_float_round_trips():
-    for x in (0.1, 1.0 / 3.0, math.pi, -2.5e-17, 0.0, 1e300):
-        assert float(format_float(x)) == x
+def test_csv_cells_match_per_cell_format(tmp_path):
+    # each row's one %-format writes the bytes of formatting every cell on
+    # its own: a string as it is, anything else as '%.17g' of its float;
+    # the rows change cell types and lengths, so formats are both reused
+    # and rebuilt
+    exact = (0.1, 1.0 / 3.0, math.pi, -2.5e-17, 0.0, 1e300)
+    rows = [exact,
+            (np.float64(-0.0), -0.0, float("nan"), np.nan, -np.inf,
+             np.float32(0.1)),
+            (7, np.int64(-3), True, 2**60 + 1, np.float64(1e-310), 2.5),
+            ("g", np.str_("e"), "", 1.5, "-0.0", np.float64(np.pi)),
+            (0.1, "x", 2, np.float64(-0.0), "nan", 0.25),
+            (0.2, "y", 3, 1.0 / 3.0, "z", 0.3),
+            (0.4, "y", "w", 0.5, "z", 0.6),
+            ("s", 1.0, "t"),
+            ("u",),
+            exact[:2],
+            ()]
+    path = str(tmp_path / "cells.csv")
+    write_csv(path, ["a", "b"], rows)
+    ref = "a,b\n" + "".join(
+        ",".join(c if isinstance(c, str) else "%.17g" % float(c)
+                 for c in row) + "\n" for row in rows)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == ref
+    with open(path, encoding="utf-8") as fh:
+        cells = fh.read().splitlines()[1].split(",")
+    assert [float(c) for c in cells] == list(exact)
 
 
 def test_csv_round_trip(tmp_path):

@@ -328,7 +328,7 @@ def test_meta_reports_kinetic_fft_length():
     sys_, grid, init = _offset_pair()
     plan = PropagationPlan.from_ps(t_start=14.0, t_end=14.01, dt_flat=0.01)
     assert propagate(sys_, grid, plan, init).meta["kinetic_fft_len"] == 0
-    for mapping, n, size in (("uniform", 300, 960), ("adaptive", 300, 960)):
+    for mapping, n, size in (("uniform", 300, 625), ("adaptive", 300, 625)):
         g = build_grid(sys_, n, 3.0, 12.0, kind=mapping)
         start = TwoChannelState(g, gaussian(g, 6.0, 0.44), np.zeros(g.n))
         meta = propagate(sys_, g, plan, start).meta

@@ -16,7 +16,6 @@ import sys as _sys
 import time
 
 import numpy as np
-from scipy import fft as sfft
 
 from . import io
 from .config import RunConfig
@@ -302,11 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True,
                         help="INI run configuration")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--threads", type=int, default=0,
-                        help="FFT worker threads of the kinetic step "
-                             "(0 = scipy's default of 1); BLAS threads "
-                             "follow the environment at start-up "
-                             "(OMP_NUM_THREADS, OPENBLAS_NUM_THREADS)")
     common.add_argument("--quiet", action="store_true")
 
     p = argparse.ArgumentParser(
@@ -337,20 +331,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 0:
-        parser.error(f"argument --threads: must be 0 or more, "
-                     f"got {args.threads}")
-    workers = (sfft.set_workers(args.threads) if args.threads > 0
-               else contextlib.nullcontext())
+    args = _build_parser().parse_args(argv)
     try:
         try:
             cfg = RunConfig.load(args.config)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        with workers:
-            return _HANDLERS[args.command](args, cfg)
+        return _HANDLERS[args.command](args, cfg)
     except (ConfigError, DomainError, DimensionError,
             GridMismatchError) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=_sys.stderr)

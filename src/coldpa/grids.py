@@ -62,22 +62,24 @@ def _cot_sum(big: int, p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Interior DVR nodes of a radial box, with quadrature weights."""
+    """Interior DVR nodes of a radial box. The quadrature weights ``w``
+    and the sine-mode wavenumbers ``kx`` follow from the fields."""
 
     r: np.ndarray             # nodes, bohr, strictly increasing
-    w: np.ndarray             # quadrature weights for sums over |psi|^2
     r_lo: float               # left box edge (wavefunction node)
     r_hi: float               # right box edge
     mu: float                 # reduced mass, m_e
     kind: str                 # "uniform" | "adaptive"
     dx: float                 # step of the auxiliary coordinate
-    kx: np.ndarray            # sine-mode wavenumbers in x
     jac: np.ndarray | None = None        # dR/dx at nodes; ones if not given
     jac_full: np.ndarray | None = None   # dR/dx at nodes plus both edges
 
     def __post_init__(self):
         if self.mu <= 0:
             raise DomainError("reduced mass must be positive")
+        if not 0.0 < self.dx < np.inf:
+            raise DomainError(f"grid dx must be finite and positive, "
+                              f"got {self.dx}")
         r = self.r
         if r[0] <= self.r_lo or r[-1] >= self.r_hi or np.any(np.diff(r) <= 0):
             raise DomainError("grid nodes must increase strictly inside the box")
@@ -86,8 +88,7 @@ class RadialGrid:
         if self.jac is None:
             object.__setattr__(self, "jac", np.ones(self.n))
             object.__setattr__(self, "jac_full", np.ones(self.n + 2))
-        for name, size in (("w", self.n), ("kx", self.n), ("jac", self.n),
-                           ("jac_full", self.n + 2)):
+        for name, size in (("jac", self.n), ("jac_full", self.n + 2)):
             a = np.asarray(getattr(self, name))
             if a.shape != (size,) or not (np.isfinite(a) & (a > 0)).all():
                 raise DomainError(
@@ -97,10 +98,22 @@ class RadialGrid:
     def n(self) -> int:
         return len(self.r)
 
+    @cached_property
+    def w(self) -> np.ndarray:
+        """Quadrature weights J * dx for sums over |psi|^2."""
+        return self.jac * self.dx
+
+    @property
+    def kx(self) -> np.ndarray:
+        """Sine-mode wavenumbers pi k / L_x, k = 1..n, of the auxiliary
+        box: L_x = r_hi - r_lo on a uniform grid, 1 on a mapped one."""
+        span = self.r_hi - self.r_lo if self.kind == "uniform" else 1.0
+        return np.pi * np.arange(1, self.n + 1) / span
+
     @property
     def dr_local(self) -> np.ndarray:
         """Local node spacing J * dx (constant on uniform grids)."""
-        return self.jac * self.dx
+        return self.w
 
     @property
     def k_max(self) -> float:
@@ -140,14 +153,10 @@ def build_uniform(r_lo: float, r_hi: float, n: int, mu: float) -> RadialGrid:
         raise DomainError(f"bad box [{r_lo}, {r_hi}]")
     if n < 8:
         raise DomainError("grid needs at least 8 points")
-    length = r_hi - r_lo
-    dr = length / (n + 1)
+    dr = (r_hi - r_lo) / (n + 1)
     r = r_lo + dr * np.arange(1, n + 1)
-    kx = np.pi * np.arange(1, n + 1) / length
-    return RadialGrid(
-        r=r, w=np.full(n, dr), r_lo=r_lo, r_hi=r_hi, mu=mu,
-        kind="uniform", dx=dr, kx=kx,
-    )
+    return RadialGrid(r=r, r_lo=r_lo, r_hi=r_hi, mu=mu, kind="uniform",
+                      dx=dr)
 
 
 def build_adaptive(v_env, mu: float, n: int, r_lo: float, r_hi: float,
@@ -207,18 +216,12 @@ def build_adaptive(v_env, mu: float, n: int, r_lo: float, r_hi: float,
     inv = PchipInterpolator(xi, fine)
     x_nodes = np.arange(1, n + 1) / (n + 1)
     r = inv(total * x_nodes)
-    dens_nodes = k_loc_of(np.asarray(v_env(r), dtype=float)) / (beta * np.pi)
-    jac = total / dens_nodes
-    dens_edges = k_loc_of(np.asarray(v_env(np.array([r_lo, r_hi])), dtype=float))
-    dens_edges /= beta * np.pi
-    jac_full = np.concatenate([[total / dens_edges[0]], jac,
-                               [total / dens_edges[1]]])
-    dx = 1.0 / (n + 1)
-    kx = np.pi * np.arange(1, n + 1)      # L_x = 1
-    return RadialGrid(
-        r=r, w=jac * dx, r_lo=r_lo, r_hi=r_hi, mu=mu,
-        kind="adaptive", dx=dx, kx=kx, jac=jac, jac_full=jac_full,
-    )
+    # dR/dx = total / density at the box edges and the nodes
+    r_full = np.concatenate([[r_lo], r, [r_hi]])
+    dens = k_loc_of(np.asarray(v_env(r_full), dtype=float)) / (beta * np.pi)
+    jac_full = total / dens
+    return RadialGrid(r=r, r_lo=r_lo, r_hi=r_hi, mu=mu, kind="adaptive",
+                      dx=1.0 / (n + 1), jac=jac_full[1:-1], jac_full=jac_full)
 
 
 def build_grid(sys, n: int, r_lo: float, r_hi: float, kind: str = "uniform",
@@ -243,6 +246,26 @@ def build_grid(sys, n: int, r_lo: float, r_hi: float, kind: str = "uniform",
     ceiling = max(sys.ground.asymptote, sys.excited.asymptote)
     return build_adaptive(v_env, sys.mu, n, r_lo, r_hi, beta=beta,
                           e_env=e_env, v_ceiling=ceiling)
+
+
+def _refined(grid: RadialGrid) -> RadialGrid:
+    """The grid with every local spacing about halved."""
+    if grid.kind == "uniform":
+        return build_uniform(grid.r_lo, grid.r_hi, 2 * grid.n, grid.mu)
+    # reuse the mapping profile (x in [0, 1], so not for uniform grids):
+    # doubling n halves every local spacing
+    jac_mid = 0.5 * (grid.jac_full[:-1] + grid.jac_full[1:])
+    n2 = 2 * grid.n + 1
+    dx2 = 1.0 / (n2 + 1)
+    jac2 = np.empty(n2)
+    jac2[0::2] = jac_mid
+    jac2[1::2] = grid.jac
+    x_old = np.concatenate([[0.0], np.arange(1, grid.n + 1) * grid.dx, [1.0]])
+    r_old = np.concatenate([[grid.r_lo], grid.r, [grid.r_hi]])
+    r2 = PchipInterpolator(x_old, r_old)(np.arange(1, n2 + 1) * dx2)
+    jf2 = np.concatenate([[grid.jac_full[0]], jac2, [grid.jac_full[-1]]])
+    return RadialGrid(r=r2, r_lo=grid.r_lo, r_hi=grid.r_hi, mu=grid.mu,
+                      kind="adaptive", dx=dx2, jac=jac2, jac_full=jf2)
 
 
 # kinetic operator -----------------------------------------------------------

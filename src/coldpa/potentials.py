@@ -22,8 +22,9 @@ from .units import hartree2cm, ps2au
 class PotentialCurve:
     """Morse short range blended into ``asymptote - cn / R**n``.
 
-    Parameters are in atomic units. The blend window defaults to
-    ``[0.8, 1.2] * switch_radius``.
+    Parameters are in atomic units. The blend runs over
+    ``[0.8, 1.2] * switch_radius``; ``switch_radius`` defaults to
+    ``1.25 * re``.
     """
 
     de: float                 # well depth, hartree
@@ -33,8 +34,6 @@ class PotentialCurve:
     n: int                    # long-range power
     asymptote: float = 0.0    # dissociation limit, hartree
     switch_radius: float = 0.0
-    switch_lo: float | None = None
-    switch_hi: float | None = None
     name: str = field(default="", compare=False)   # channel, for messages
 
     def __post_init__(self):
@@ -42,14 +41,16 @@ class PotentialCurve:
             raise DomainError("Morse parameters de, re, a must be positive")
         if self.cn < 0 or self.n < 1:
             raise DomainError("long-range tail needs cn >= 0 and n >= 1")
-        sr = self.switch_radius if self.switch_radius > 0 else 1.25 * self.re
-        lo = self.switch_lo if self.switch_lo is not None else 0.8 * sr
-        hi = self.switch_hi if self.switch_hi is not None else 1.2 * sr
-        if not 0 < lo < hi:
-            raise DomainError(f"bad switch window [{lo}, {hi}]")
-        object.__setattr__(self, "switch_radius", sr)
-        object.__setattr__(self, "switch_lo", lo)
-        object.__setattr__(self, "switch_hi", hi)
+        if not self.switch_radius > 0:
+            object.__setattr__(self, "switch_radius", 1.25 * self.re)
+
+    @property
+    def switch_lo(self) -> float:
+        return 0.8 * self.switch_radius
+
+    @property
+    def switch_hi(self) -> float:
+        return 1.2 * self.switch_radius
 
     # branches
     def _morse(self, r):
@@ -81,10 +82,9 @@ class PotentialCurve:
         dmorse = 2.0 * self.de * self.a * e * (1.0 - e)
         dtail = self.n * self.cn / r ** (self.n + 1)
         s = self._blend(r)
-        u = (r - self.switch_lo) / (self.switch_hi - self.switch_lo)
-        inside = (u > 0) & (u < 1)
-        ds = np.where(inside, 6.0 * u * (1.0 - u), 0.0)
-        ds = ds / (self.switch_hi - self.switch_lo)
+        width = self.switch_hi - self.switch_lo
+        u = np.clip((r - self.switch_lo) / width, 0.0, 1.0)
+        ds = 6.0 * u * (1.0 - u) / width
         return (1.0 - s) * dmorse + s * dtail + ds * (self._tail(r) - self._morse(r))
 
     __call__ = value

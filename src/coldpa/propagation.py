@@ -36,8 +36,9 @@ is sum_k c_k(j alpha) T_k(A) psi, cut at the order of the block's last
 step. A block of m steps costs about m alpha terms where m single steps
 cost m times (alpha plus the tail that carries each series to
 convergence). Ramps take one step per expansion.
-Both paths time their steps (``series_s`` in :attr:`TimeSeries.meta`),
-and the FFT path its convolutions (``kinetic_s``).
+Both paths time their steps (``series_s`` in :attr:`TimeSeries.meta`)
+and the Lanczos estimate of the top (``bound_s``), and the FFT path the
+convolutions of its steps (``kinetic_s``).
 
 Short-range repulsive walls can tower orders of magnitude above every
 energy the dynamics visits and would inflate the expansion order, so the
@@ -60,9 +61,8 @@ from scipy.special import jv
 
 from .errors import DomainError, NumericsError, SpectralBoundsError
 from .grids import (RadialGrid, TwoChannelState, _mapped_gram,
-                    ensure_same_grid)
+                    ensure_same_grid, kinetic_matrix)
 from .potentials import CoupledSystem
-from .spectrum import hamiltonian_matrix
 from .units import ps2au
 
 
@@ -148,19 +148,28 @@ class _Engine:
         self.cap = v_cap
         self.v = np.minimum(np.stack([sys.ground.value(grid.r),
                                       sys.excited.value(grid.r)]), v_cap)
+        # +inf is capped above; NaN and -inf would reach LAPACK or ARPACK
+        bad = ~np.isfinite(self.v)
+        if bad.any():
+            c, i = np.argwhere(bad)[0]
+            raise DomainError(
+                f"{('ground', 'excited')[c]} potential is {self.v[c, i]} at "
+                f"r = {float(grid.r[i])!r} bohr (node {i})")
         self.sqrt_j = np.sqrt(grid.jac)
         self.w_peak = sys.coupling
-        # dense kinetic matvec wins below a few hundred points
-        self.h_dense = (block_diag(*(hamiltonian_matrix(v, grid)
-                                     for v in self.v))
-                        if grid.n <= 256 else None)
+        # dense kinetic matvec wins below a few hundred points; there
+        # H = diag(T + V_g, T + V_e) from one kinetic matrix T
+        self.h_dense = (block_diag(*[kinetic_matrix(grid)] * 2)
+                        + np.diag(self.v.ravel()) if grid.n <= 256 else None)
         self._op, self._op_key = None, None
         self._eigen, self._eigen_key = None, None
         self._coef_cache: dict[tuple[float, int], np.ndarray] = {}
         self.bound_matvecs = 0
         self.kinetic_s = 0.0      # _top's FFT applications add to it
         w_max = sys.coupling * sys.envelope.flat_value
+        t0 = time.perf_counter()
         self.lambda_max = self._top(w_max)
+        self.bound_s = time.perf_counter() - t0
         lo = float(self.v.min()) - w_max
         pad = margin * (self.lambda_max - lo)
         self.e_lo, self.e_hi = lo - pad, self.lambda_max + pad
@@ -172,7 +181,7 @@ class _Engine:
         self.eigensolves = 0
         self.eigen_orthogonality = 0.0
         self.series_s = 0.0
-        self.kinetic_s = 0.0      # the Lanczos applications are not steps
+        self.kinetic_s = 0.0      # the Lanczos applications are in bound_s
 
     def _operator(self, w_eff: float, shift: float, scale: float):
         """scale (H(w_eff) - shift) as one operator, built once per
@@ -416,7 +425,7 @@ def step(sys: CoupledSystem, grid: RadialGrid, state: TwoChannelState,
 
 # TimeSeries.meta entries that are wall-clock seconds, so differ between
 # identical runs
-WALL_CLOCK_KEYS = ("series_s", "kinetic_s")
+WALL_CLOCK_KEYS = ("bound_s", "series_s", "kinetic_s")
 
 
 @dataclass
@@ -511,6 +520,7 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
     meta = {
         "e_lo": eng.e_lo, "e_hi": eng.e_hi, "v_cap": eng.cap,
         "lambda_max": eng.lambda_max, "bound_matvecs": eng.bound_matvecs,
+        "bound_s": eng.bound_s,
         "matvecs": eng.matvecs, "max_order": eng.max_order,
         "order_counts": dict(sorted(eng.order_counts.items())),
         "eigensolves": eng.eigensolves,

@@ -33,8 +33,8 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import (DomainError, GridMismatchError, NumericsError,
                      ResolutionError)
-from .grids import (_BLOCK, RadialGrid, build_uniform, build_adaptive,
-                    kinetic_matrix, mirror_upper)
+from .grids import (_BLOCK, RadialGrid, _refined, kinetic_matrix,
+                    mirror_upper)
 from .units import ps2au
 
 
@@ -297,27 +297,6 @@ def bound_populations(curve, grid: RadialGrid, amp: np.ndarray):
     z = _tridiagonal_vectors(curve, d, e, 0, m)[:, :m]
     c = z.T @ qy                              # (levels, [re, im])
     return energies[:m], np.sum(c * c, axis=1)
-
-
-def _refined(grid: RadialGrid) -> RadialGrid:
-    if grid.kind == "uniform":
-        return build_uniform(grid.r_lo, grid.r_hi, 2 * grid.n, grid.mu)
-    # reuse the mapping profile (x in [0, 1], so not for uniform grids):
-    # doubling n halves every local spacing
-    jac_mid = 0.5 * (grid.jac_full[:-1] + grid.jac_full[1:])
-    n2 = 2 * grid.n + 1
-    dx2 = 1.0 / (n2 + 1)
-    jac2 = np.empty(n2)
-    jac2[0::2] = jac_mid
-    jac2[1::2] = grid.jac
-    x_old = np.concatenate([[0.0], np.arange(1, grid.n + 1) * grid.dx, [1.0]])
-    r_old = np.concatenate([[grid.r_lo], grid.r, [grid.r_hi]])
-    from scipy.interpolate import PchipInterpolator
-    r2 = PchipInterpolator(x_old, r_old)(np.arange(1, n2 + 1) * dx2)
-    jf2 = np.concatenate([[grid.jac_full[0]], jac2, [grid.jac_full[-1]]])
-    return RadialGrid(r=r2, w=jac2 * dx2, r_lo=grid.r_lo, r_hi=grid.r_hi,
-                      mu=grid.mu, kind="adaptive", dx=dx2,
-                      kx=np.pi * np.arange(1, n2 + 1), jac=jac2, jac_full=jf2)
 
 
 @dataclass(frozen=True)

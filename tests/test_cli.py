@@ -3,7 +3,6 @@ import os
 
 import numpy as np
 import pytest
-from scipy import fft as sfft
 
 from coldpa import cli, potentials
 from coldpa.cli import main
@@ -248,23 +247,3 @@ def test_error_exit_codes(tmp_path, capsys):
 
     assert main(["propagate", "--config", cfg]) == 2
     assert "--out" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["-3", "two"])
-def test_threads_must_be_a_count(tmp_path, capsys, value):
-    with pytest.raises(SystemExit) as exit_:
-        main(["times", "--config", _config(tmp_path, ""), "--threads", value])
-    assert exit_.value.code == 2
-    err = capsys.readouterr().err
-    assert "--threads" in err and value in err
-
-
-@pytest.mark.parametrize("flags, workers", [([], 1), (["--threads", "2"], 2)])
-def test_threads_set_fft_workers_of_the_handler(tmp_path, monkeypatch,
-                                                flags, workers):
-    seen = []
-    monkeypatch.setitem(cli._HANDLERS, "times",
-                        lambda args, cfg: seen.append(sfft.get_workers()) or 0)
-    assert main(["times", "--config", _config(tmp_path, "")] + flags) == 0
-    assert seen == [workers]
-    assert sfft.get_workers() == 1

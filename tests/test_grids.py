@@ -50,20 +50,19 @@ def test_uniform_rejects_bad_box():
     with pytest.raises(DomainError):
         build_uniform(2.0, 5.0, 4, MU)
     with pytest.raises(DomainError):
-        RadialGrid(r=np.array([1.0, 2.0]), w=np.ones(2), r_lo=0.5, r_hi=3.0,
-                   mu=-1.0, kind="uniform", dx=1.0, kx=np.ones(2))
-    # every per-node array must match the nodes and be finite and positive
-    good = dict(r=np.array([1.0, 2.0]), w=np.ones(2), r_lo=0.5, r_hi=3.0,
-                mu=1.0, kind="adaptive", dx=1.0, kx=np.ones(2),
+        RadialGrid(r=np.array([1.0, 2.0]), r_lo=0.5, r_hi=3.0,
+                   mu=-1.0, kind="uniform", dx=1.0)
+    # every per-node array must match the nodes and be finite and positive,
+    # and so must the step dx
+    good = dict(r=np.array([1.0, 2.0]), r_lo=0.5, r_hi=3.0,
+                mu=1.0, kind="adaptive", dx=1.0,
                 jac=np.ones(2), jac_full=np.ones(4))
     RadialGrid(**good)
-    for name, bad in [("w", np.ones(3)), ("kx", np.ones(1)),
-                      ("jac", np.ones(3)), ("jac_full", np.ones(2)),
+    for name, bad in [("jac", np.ones(3)), ("jac_full", np.ones(2)),
                       ("jac", None), ("jac_full", None),
-                      ("w", np.array([1.0, 0.0])),
-                      ("kx", np.array([1.0, np.nan])),
                       ("jac", np.array([1.0, -1.0])),
-                      ("jac_full", np.array([1.0, 1.0, np.inf, 1.0]))]:
+                      ("jac_full", np.array([1.0, 1.0, np.inf, 1.0])),
+                      ("dx", np.nan), ("dx", 0.0), ("dx", -1.0)]:
         with pytest.raises(DomainError, match=rf"\b{name}\b"):
             RadialGrid(**{**good, name: bad})
 

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -378,6 +379,40 @@ def test_lambda_max_matches_dense_spectrum(n):
     top = np.linalg.eigvalsh(_coupled_h(sys_, grid, eng.cap, 1.0))[-1]
     assert eng.lambda_max == pytest.approx(top, rel=1e-8)
     assert eng.e_lo < eng.lambda_max < eng.e_hi
+
+
+class _Holed:
+    """``curve`` with the value ``fill`` from r_bad on."""
+
+    def __init__(self, curve, r_bad, fill):
+        self.curve, self.r_bad, self.fill = curve, r_bad, fill
+        self.asymptote = curve.asymptote
+
+    def value(self, r):
+        return np.where(r >= self.r_bad, self.fill, self.curve.value(r))
+
+
+@pytest.mark.parametrize("n", [64, 300])      # dense and transform kernels
+@pytest.mark.parametrize("channel", ["ground", "excited"])
+@pytest.mark.parametrize("fill", [np.nan, -np.inf])
+def test_engine_refuses_a_non_finite_potential(n, channel, fill):
+    sys_, _, _ = _offset_pair()
+    grid = build_uniform(3.0, 12.0, n, 5000.0)
+    curves = {"ground": sys_.ground, "excited": sys_.excited}
+    curves[channel] = _Holed(curves[channel], 7.0, fill)
+    bad = SimpleNamespace(coupling=sys_.coupling, envelope=sys_.envelope,
+                          **curves)
+    i = int(np.searchsorted(grid.r, 7.0))
+    with pytest.raises(DomainError, match=re.escape(
+            f"{channel} potential is {fill} at r = {float(grid.r[i])!r} bohr "
+            f"(node {i})")):
+        _Engine(bad, grid, tol=1e-14, margin=0.05)
+    # +inf is capped to the ceiling, as every wall is
+    curves[channel] = _Holed(curves[channel].curve, 11.0, np.inf)
+    capped = SimpleNamespace(coupling=sys_.coupling, envelope=sys_.envelope,
+                             **curves)
+    eng = _Engine(capped, grid, tol=1e-14, margin=0.05)
+    assert np.isfinite(eng.v).all() and eng.v.max() == eng.cap
 
 
 def test_measured_bounds_and_orders_repeat_exactly():

@@ -193,6 +193,9 @@ class RunConfig:
                 f"initial.kind must be continuum, gaussian or level, "
                 f"got {self['initial.kind']!r}"
             )
+        if self["initial.v"] < 0:
+            raise ConfigError(
+                f"initial.v must be >= 0, got {self['initial.v']}")
 
     # ---- builders ----------------------------------------------------
     def coupling_au(self) -> float:

@@ -47,6 +47,7 @@ from .units import ps2au
 # rows or columns per block where a dense n x n build or solve works in
 # blocks: at n = 1400 a block of doubles takes 1.4 MB
 _BLOCK = 128
+MOMENTUM_OVERSAMPLE = 2.0   # of k_max, by to_momentum's auxiliary grid
 
 
 def _cot_sum(big: int, p: np.ndarray) -> np.ndarray:
@@ -487,13 +488,6 @@ def _fft_momentum(values: np.ndarray, r0: float, dr: float) -> MomentumSpectrum:
     return MomentumSpectrum(k=k, amp=amp, dk=float(k[1] - k[0]))
 
 
-def _aux_sampling(grid: RadialGrid, oversample: float):
-    dr_aux = (np.pi / grid.k_max) / oversample
-    m = int(np.ceil((grid.r_hi - grid.r_lo) / dr_aux)) + 1
-    m = sfft.next_fast_len(m)
-    return np.linspace(grid.r_lo, grid.r_hi, m)
-
-
 def _edge_spline(grid: RadialGrid, amp: np.ndarray) -> CubicSpline:
     # box edges are wavefunction nodes; pin them so the spline honors that
     r = np.concatenate([[grid.r_lo], grid.r, [grid.r_hi]])
@@ -501,17 +495,18 @@ def _edge_spline(grid: RadialGrid, amp: np.ndarray) -> CubicSpline:
     return CubicSpline(r, y)
 
 
-def to_momentum(grid: RadialGrid, amp: np.ndarray,
-                oversample: float = 2.0) -> MomentumSpectrum:
+def to_momentum(grid: RadialGrid, amp: np.ndarray) -> MomentumSpectrum:
     """Momentum-space amplitudes of psi values on the grid.
 
     Uniform grids transform directly (discrete Parseval is exact). Mapped
     grids go through a C^2 resample onto an auxiliary uniform grid whose
-    density oversamples k_max by ``oversample``.
+    density oversamples k_max by ``MOMENTUM_OVERSAMPLE``.
     """
     if grid.kind == "uniform":
         return _fft_momentum(amp.astype(complex), grid.r[0], grid.dx)
-    r_aux = _aux_sampling(grid, oversample)
+    dr_aux = (np.pi / grid.k_max) / MOMENTUM_OVERSAMPLE
+    m = sfft.next_fast_len(int(np.ceil((grid.r_hi - grid.r_lo) / dr_aux)) + 1)
+    r_aux = np.linspace(grid.r_lo, grid.r_hi, m)
     vals = _edge_spline(grid, np.asarray(amp, dtype=complex))(r_aux)
     return _fft_momentum(vals, r_aux[0], r_aux[1] - r_aux[0])
 

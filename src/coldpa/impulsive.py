@@ -27,6 +27,8 @@ from .observables import _smooth_density
 from .potentials import CoupledSystem
 from .units import ps2au
 
+PEAK_SMOOTH_WIDTH = 2.0   # bohr, of the envelope kernel in predict_k_peaks
+
 
 @dataclass(frozen=True)
 class PredictedPeak:
@@ -121,8 +123,8 @@ def decompose_impulsive(sys: CoupledSystem, grid: RadialGrid,
     return psi_1, psi_2
 
 
-def _envelope_maxima(grid: RadialGrid, psi0: np.ndarray, env: np.ndarray,
-                     smooth_width: float) -> list[int]:
+def _envelope_maxima(grid: RadialGrid, psi0: np.ndarray,
+                     env: np.ndarray) -> list[int]:
     """Grid indices of the maxima of env, the smoothed envelope of psi0."""
     inner = np.arange(1, grid.n - 1)
     is_max = (env[inner] > env[inner - 1]) & (env[inner] >= env[inner + 1])
@@ -139,14 +141,14 @@ def _envelope_maxima(grid: RadialGrid, psi0: np.ndarray, env: np.ndarray,
             r_last_node = grid.r[flips[-1]]
             idx = [i for i in idx if grid.r[i] <= r_last_node]
     # and anything hugging the edge closer than the smoothing scale
-    idx = [i for i in idx if grid.r[i] < grid.r_hi - 3.0 * smooth_width]
+    idx = [i for i in idx if grid.r[i] < grid.r_hi - 3.0 * PEAK_SMOOTH_WIDTH]
     return idx
 
 
 def predict_k_peaks(sys: CoupledSystem, grid: RadialGrid, psi0: np.ndarray,
-                    f: float = None,
-                    smooth_width: float = 2.0) -> list[PredictedPeak]:
-    """Momentum features expected from the envelope maxima of psi0.
+                    f: float = None) -> list[PredictedPeak]:
+    """Momentum features expected from the envelope maxima of psi0,
+    smoothed by a Gaussian kernel ``PEAK_SMOOTH_WIDTH`` bohr wide.
 
     Each maximum at r0 contributes an ingoing plane wave of energy
     E2 = 2 Delta(r0) + W^2 / (2 Delta(r0)) and momentum
@@ -157,9 +159,9 @@ def predict_k_peaks(sys: CoupledSystem, grid: RadialGrid, psi0: np.ndarray,
     if f is None:
         f = sys.envelope.flat_value
     w = sys.coupling * f
-    env = np.sqrt(_smooth_density(grid, psi0, smooth_width))
+    env = np.sqrt(_smooth_density(grid, psi0, PEAK_SMOOTH_WIDTH))
     peaks = []
-    for i in _envelope_maxima(grid, psi0, env, smooth_width):
+    for i in _envelope_maxima(grid, psi0, env):
         # parabolic refinement of the maximum position
         r3 = grid.r[i - 1:i + 2]
         e3 = env[i - 1:i + 2]

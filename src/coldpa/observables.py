@@ -10,10 +10,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, NumericsError
-from .grids import MomentumSpectrum, RadialGrid, ensure_same_grid
+from .grids import _BLOCK, MomentumSpectrum, RadialGrid, ensure_same_grid
 from .potentials import CoupledSystem
 from .spectrum import LevelSet
 from .units import convert, kb_hartree
+
+RADIUS_CHECK_CM = 0.5       # gap residual radius_from_momentum allows, cm-1
+HOLE_SUPPORT_FLOOR = 1e-3   # share of max rho below which detect_hole skips
 
 
 def project_levels(grid: RadialGrid, amp: np.ndarray,
@@ -94,12 +97,12 @@ def momentum_at_radius(sys: CoupledSystem, r) -> np.ndarray:
 
 
 def radius_from_momentum(sys: CoupledSystem, k: float,
-                         check_cm: float = 0.5, rc: float = None) -> float:
+                         rc: float = None) -> float:
     """Invert k = sqrt(2 mu (Ve - Vg)) on the outer branch r > r_crossing.
 
     The gap grows monotonically toward its asymptotic value out there, so
     the root is unique when it exists. The returned radius is verified by
-    a forward evaluation to within check_cm (in wavenumber units). rc is
+    a forward evaluation to within ``RADIUS_CHECK_CM`` wavenumbers. rc is
     the outermost crossing, located by ``find_crossing`` when not given;
     pass it to invert many momenta of one system.
     """
@@ -118,10 +121,10 @@ def radius_from_momentum(sys: CoupledSystem, k: float,
         )
     r = brentq(gap, lo, r_hi, xtol=1e-10)
     err_cm = abs(convert(gap(r), "hartree", "cm-1"))
-    if err_cm > check_cm:
+    if err_cm > RADIUS_CHECK_CM:
         raise NumericsError(
             f"radius inversion check failed: residual {err_cm:.3f} exceeds "
-            f"{check_cm} in wavenumbers"
+            f"{RADIUS_CHECK_CM} in wavenumbers"
         )
     return float(r)
 
@@ -189,8 +192,8 @@ def _smooth_density(grid: RadialGrid, amp: np.ndarray,
     lo = np.searchsorted(r, r - 40.0 * width)
     hi = np.searchsorted(r, r + 40.0 * width, side="right")
     out = np.empty_like(rho)
-    for i0 in range(0, grid.n, 128):
-        rows = slice(i0, min(i0 + 128, grid.n))
+    for i0 in range(0, grid.n, _BLOCK):
+        rows = slice(i0, min(i0 + _BLOCK, grid.n))
         cols = slice(lo[i0], hi[rows.stop - 1])
         # one array per block, in place
         wk = np.subtract.outer(r[rows], r[cols])
@@ -205,21 +208,20 @@ def _smooth_density(grid: RadialGrid, amp: np.ndarray,
 
 def detect_hole(grid: RadialGrid, amp_before: np.ndarray,
                 amp_after: np.ndarray, threshold: float = 0.5,
-                smooth_width: float = 2.0,
-                support_floor: float = 1e-3) -> HoleReport:
+                smooth_width: float = 2.0) -> HoleReport:
     """Locate the widest contiguous dip where the smoothed density dropped
     below (1 - threshold) of its initial value.
 
     Oscillatory structure inside the packet is ironed out by a Gaussian
     kernel of smooth_width (bohr) before the ratio is taken; points where
-    the initial density is below support_floor of its own maximum carry no
-    information and are skipped.
+    the initial density is below ``HOLE_SUPPORT_FLOOR`` of its own maximum
+    carry no information and are skipped.
     """
     if not 0.0 < threshold < 1.0:
         raise DomainError("threshold must sit strictly inside (0, 1)")
     rho_i, rho_f = _smooth_density(
         grid, np.column_stack([amp_before, amp_after]), smooth_width).T
-    support = rho_i > support_floor * rho_i.max()
+    support = rho_i > HOLE_SUPPORT_FLOOR * rho_i.max()
     ratio = np.ones_like(rho_i)
     ratio[support] = rho_f[support] / rho_i[support]
     depleted = support & (ratio < 1.0 - threshold)

@@ -17,6 +17,9 @@ from scipy.optimize import brentq
 from .errors import CalibrationError, DomainError, RangeError
 from .units import hartree2cm, ps2au
 
+CROSSING_SCAN = 4096      # points of find_crossing's geometric scan
+CALIBRATION_TOL = 1e-3    # bohr by which calibrate_crossing may miss
+
 
 @dataclass(frozen=True)
 class PotentialCurve:
@@ -289,18 +292,18 @@ def local_rabi_period(sys: CoupledSystem, r, f: float = None):
     return np.pi / root
 
 
-def find_crossing(sys: CoupledSystem, n_scan: int = 4096) -> float:
+def find_crossing(sys: CoupledSystem) -> float:
     """Locate the outermost dressed-curve crossing inside the working range.
 
     Deep wells typically tangle at short range and cross several times;
     the crossing that matters for the radiative coupling is the outermost
     one, on the long-range tails, past which the gap grows monotonically
-    to its asymptotic value. Scans V_e - V_g for sign changes, takes the
-    last, then refines by bisection until the gap magnitude is below
-    1e-12 hartree.
+    to its asymptotic value. Scans V_e - V_g for sign changes on
+    ``CROSSING_SCAN`` geometric points, takes the last, then refines by
+    bisection until the gap magnitude is below 1e-12 hartree.
     """
     lo, hi = sys.working_range
-    r = np.geomspace(lo, hi, n_scan)
+    r = np.geomspace(lo, hi, CROSSING_SCAN)
     diff = sys.excited.value(r) - sys.ground.value(r)
     sign = np.sign(diff)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -318,12 +321,12 @@ def find_crossing(sys: CoupledSystem, n_scan: int = 4096) -> float:
     return rc
 
 
-def calibrate_crossing(sys: CoupledSystem, target_rc: float,
-                       tol: float = 1e-3):
+def calibrate_crossing(sys: CoupledSystem, target_rc: float):
     """Retune the excited tail coefficient so the crossing sits at target_rc.
 
     Holds every other parameter fixed. Returns (system, r_c, v_c) with the
-    refit system, the verified crossing position, and the potential there.
+    refit system, the crossing position, verified to within
+    ``CALIBRATION_TOL`` bohr of the target, and the potential there.
 
     Raises
     ------
@@ -352,10 +355,10 @@ def calibrate_crossing(sys: CoupledSystem, target_rc: float,
         )
     new_sys = replace(sys, excited=replace(exc, cn=cn))
     rc = find_crossing(new_sys)
-    if abs(rc - target_rc) > tol:
+    if abs(rc - target_rc) > CALIBRATION_TOL:
         raise CalibrationError(
             f"calibrated crossing at {rc:.6f} bohr misses target "
-            f"{target_rc} by more than {tol} bohr"
+            f"{target_rc} by more than {CALIBRATION_TOL} bohr"
         )
     vc = float(new_sys.ground.value(rc))
     return new_sys, rc, vc

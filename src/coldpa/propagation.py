@@ -19,9 +19,9 @@ to 256 points take the dense path: the operator is one real symmetric
 2n x 2n matrix in the phi = sqrt(J) psi representation, block-diagonal in
 the channels with the coupling at (i, i + n), and each term is one matmul
 on the real (2n, 2) [re, im] view of the phi block. There a constant
-interval, whatever its step count, is propagated exactly from one
-eigendecomposition of that matrix, whose eigenvectors are the dressed
-states (Kosloff, Annu. Rev. Phys. Chem. 45, 145 (1994)).
+interval is propagated exactly: H(f) at its envelope value f is
+decomposed once, and reused while f is unchanged; each step multiplies
+by exp(-i E dt) (Kosloff, Annu. Rev. Phys. Chem. 45, 145 (1994)).
 Larger grids take Chebyshev steps throughout, on the psi block itself:
 the kinetic energy as two complex-FFT convolutions against the real cot
 table, each its Toeplitz and Hankel halves on one transform pair at a
@@ -162,7 +162,7 @@ class _Engine:
         self.h_dense = (block_diag(*[kinetic_matrix(grid)] * 2)
                         + np.diag(self.v.ravel()) if grid.n <= 256 else None)
         self._op, self._op_key = None, None
-        self._eigen, self._eigen_key = None, None
+        self._eigen, self._eigen_f = None, None
         self._coef_cache: dict[tuple[float, int], np.ndarray] = {}
         self.bound_matvecs = 0
         self.kinetic_s = 0.0      # _top's FFT applications add to it
@@ -175,13 +175,19 @@ class _Engine:
         self.e_lo, self.e_hi = lo - pad, self.lambda_max + pad
         self.e_mid = 0.5 * (self.e_hi + self.e_lo)
         self.half_span = 0.5 * (self.e_hi - self.e_lo)
-        self.matvecs = 0
-        self.max_order = 0
         self.order_counts: dict[int, int] = {}   # expansions per order
         self.eigensolves = 0
         self.eigen_orthogonality = 0.0
         self.series_s = 0.0
         self.kinetic_s = 0.0      # the Lanczos applications are in bound_s
+
+    @property
+    def matvecs(self) -> int:     # one per term after the first
+        return sum(k * c for k, c in self.order_counts.items())
+
+    @property
+    def max_order(self) -> int:
+        return max(self.order_counts, default=0)
 
     def _operator(self, w_eff: float, shift: float, scale: float):
         """scale (H(w_eff) - shift) as one operator, built once per
@@ -280,25 +286,29 @@ class _Engine:
         self._coef_cache[(alpha, m)] = coefs
         return coefs
 
-    def _series(self, x: np.ndarray, dt: float, apply2a,
+    def _series(self, psi: np.ndarray, dt: float, f: float,
                 m: int = 1) -> np.ndarray:
-        """The states exp(-i H j dt) psi for j = 1..m, from one recurrence:
+        """The (m, 2, n) states exp(-i H(f) j dt) psi, j = 1..m, of a
+        channel-major (2, n) block from one expansion:
         e^{-i e_mid j dt} sum_k c_k(j alpha) T_k(A) psi, with
-        A = (H - e_mid) / half_span, alpha = half_span dt and apply2a(cur,
-        out=nxt) the :meth:`_operator` at (e_mid, 2 / half_span), writing
-        2 A cur into nxt. x is the channel-major state: on the dense path
-        the real (2n, 2) [re, im] view of the phi block, on the FFT path
-        the complex (2, n) psi block. Returns an (m, x.size) complex array
-        for complex x, (m, x.size / 2) for real x: row j - 1 the state
-        after j steps, flattened.
+        A = (H - e_mid) / half_span, alpha = half_span dt and apply2a the
+        :meth:`_operator` at (e_mid, 2 / half_span). The dense path runs
+        it on the real (2n, 2) [re, im] view of phi = sqrt(J) psi. The
+        expansion goes to order_counts, its wall time to series_s.
 
         The terms T_k(A) psi go into a ring of ``_FOLD`` slots. A is real,
         so each time the ring fills, its even terms (real c_k) and its odd
         ones (imaginary c_k) fold into two real (m, .) accumulators, one
         GEMM each on the slots' [re, im] view, so the m states cost a few
         flops per term and element rather than m passes; the result
-        combines them once. One matvec is counted per term after the first.
+        combines them once.
         """
+        t0 = time.perf_counter()
+        psi = np.ascontiguousarray(psi, dtype=complex)
+        apply2a = self._operator(self.w_peak * f, self.e_mid,
+                                 2.0 / self.half_span)
+        dense = self.h_dense is not None
+        x = (psi * self.sqrt_j).view(float).reshape(-1, 2) if dense else psi
         coefs = self._coefficients(self.half_span * dt, m)
         order = coefs.shape[1] - 1
         even, odd = coefs[:, 0::2], coefs[:, 1::2]
@@ -336,35 +346,18 @@ class _Engine:
                     "spectrum leaves the declared bounds; re-estimate "
                     "them (raise the margin or the potential cap)"
                 )
-        self.matvecs += order
-        self.max_order = max(self.max_order, order)
         self.order_counts[order] = self.order_counts.get(order, 0) + 1
         out = acc[0].view(complex) + 1j * acc[1].view(complex)
         out *= np.exp(-1j * self.e_mid * dt * np.arange(1, m + 1))[:, None]
-        return out
-
-    def _advance(self, psi: np.ndarray, dt: float, f_mid: float,
-                 m: int = 1) -> np.ndarray:
-        """The (m, 2, n) states after 1..m steps of exp(-i H(f_mid) dt)
-        from a channel-major (2, n) block, by one expansion; the wall time
-        goes to series_s. The dense path runs the series on
-        phi = sqrt(J) psi, so sqrt(J) is applied once per expansion."""
-        t0 = time.perf_counter()
-        psi = np.ascontiguousarray(psi, dtype=complex)
-        op = self._operator(self.w_peak * f_mid, self.e_mid,
-                            2.0 / self.half_span)
-        if self.h_dense is None:
-            out = self._series(psi, dt, op, m).reshape((m,) + psi.shape)
-        else:
-            phi = (psi * self.sqrt_j).view(float).reshape(-1, 2)
-            out = (self._series(phi, dt, op, m).reshape((m,) + psi.shape)
-                   / self.sqrt_j)
+        out = out.reshape((m,) + psi.shape)
+        if dense:
+            out /= self.sqrt_j
         self.series_s += time.perf_counter() - t0
         return out
 
     def step(self, psi: np.ndarray, dt: float, f_mid: float) -> np.ndarray:
         """exp(-i H(f_mid) dt) applied to a channel-major (2, n) block."""
-        return self._advance(psi, dt, f_mid)[0]
+        return self._series(psi, dt, f_mid)[0]
 
     def steps(self, psi: np.ndarray, dt: float, f_mid: np.ndarray,
               const: bool):
@@ -372,34 +365,33 @@ class _Engine:
         envelope values f_mid at the step midpoints. A ramp takes one
         Chebyshev expansion per step. A constant interval takes one per
         block of up to ``BLOCK_STEPS`` steps on the FFT path; on the dense
-        path it is exact from one eigendecomposition of the
-        :meth:`_operator` matrix, 2 A = V diag(lam) V^T, c = V^T phi,
-        phi = V c. The last decomposition is kept while
-        (f, e_mid, half_span) is unchanged, so snapshots that split a
-        constant interval add no eigensolve."""
+        path it is exact: the coupled phi-H(f), ``h_dense`` with W f on
+        its two coupling diagonals, is decomposed as V diag(E) V^T, and
+        each step is c = V^T phi, phi = V exp(-i E dt) c. The decomposition
+        is kept while f is unchanged, so snapshots that split a constant
+        interval add no eigensolve."""
         if not const or self.h_dense is None:
             block = BLOCK_STEPS if const else 1
             for i in range(0, len(f_mid), block):
-                states = self._advance(psi, dt, f_mid[i],
-                                       min(block, len(f_mid) - i))
+                states = self._series(psi, dt, f_mid[i],
+                                      min(block, len(f_mid) - i))
                 yield from states
                 psi = states[-1]
             return
-        key = (f_mid[0], self.e_mid, self.half_span)
-        if self._eigen_key != key:
+        f = f_mid[0]
+        if self._eigen_f != f:
             self._eigen = None      # freed before the next one is built
-            # eigenvalues of 2 A are 2 (E - e_mid) / half_span: both paths
-            # propagate the same operator
-            op = self._operator(self.w_peak * f_mid[0], self.e_mid,
-                                2.0 / self.half_span)
-            lam, v = np.linalg.eigh(op.args[0])
+            n, h = self.grid.n, self.h_dense.copy()
+            np.fill_diagonal(h[:n, n:], self.w_peak * f)
+            np.fill_diagonal(h[n:, :n], self.w_peak * f)
+            e, v = np.linalg.eigh(h)
             self.eigensolves += 1
             dev = float(np.abs(v.T @ v - np.eye(len(v))).max())
             self.eigen_orthogonality = max(self.eigen_orthogonality, dev)
             v /= np.tile(self.sqrt_j, 2)[:, None]   # so that V c is psi
-            self._eigen, self._eigen_key = (lam, v), key
-        lam, v = self._eigen
-        phase = np.exp(-1j * (self.e_mid + 0.5 * self.half_span * lam) * dt)
+            self._eigen, self._eigen_f = (e, v), f
+        e, v = self._eigen
+        phase = np.exp(-1j * e * dt)
         # c = V^T phi, with V now divided by sqrt(J) and phi = sqrt(J) psi
         jpsi = np.ascontiguousarray(psi, dtype=complex) * self.grid.jac
         c = (v.T @ jpsi.view(float).reshape(-1, 2)).view(complex)[:, 0]

@@ -35,7 +35,8 @@ from .errors import (DomainError, GridMismatchError, NumericsError,
                      ResolutionError)
 from .grids import (_BLOCK, RadialGrid, _refined, kinetic_matrix,
                     mirror_upper)
-from .units import ps2au
+
+NODE_FLOOR = 1e-8     # count_nodes skips values below this share of max|amp|
 
 
 def _channel(curve) -> str:
@@ -90,10 +91,10 @@ def _phi_to_psi(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
     return phi
 
 
-def count_nodes(amp: np.ndarray, floor: float = 1e-8) -> int:
-    """Interior sign changes, ignoring values below floor * max|amp|."""
+def count_nodes(amp: np.ndarray) -> int:
+    """Interior sign changes, ignoring values below NODE_FLOOR * max|amp|."""
     a = np.real(amp)
-    keep = np.abs(a) > floor * np.max(np.abs(a))
+    keep = np.abs(a) > NODE_FLOOR * np.max(np.abs(a))
     s = np.sign(a[keep])
     return int(np.sum(s[:-1] * s[1:] < 0))
 

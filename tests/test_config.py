@@ -79,6 +79,13 @@ def test_enum_values_guarded():
         RunConfig.parse(MINIMAL + "[initial]\nkind = plane\n")
 
 
+def test_negative_level_index_rejected():
+    # a negative v would index the bound levels from the top
+    for v in (-1, -9000):
+        with pytest.raises(ConfigError, match="initial.v"):
+            RunConfig.parse(MINIMAL + f"[initial]\nkind = level\nv = {v}\n")
+
+
 def test_boolean_style_values_rejected_where_float():
     with pytest.raises(ConfigError):
         RunConfig.parse(MINIMAL + "[propagation]\ncheb_tol = maybe\n")

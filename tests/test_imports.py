@@ -22,3 +22,35 @@ def test_package_imports_only_stdlib_numpy_and_scipy():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.partition(".")[0] not in ALLOWED]
     assert not found, f"imports outside stdlib, numpy and scipy: {found}"
+
+
+# imported but unused on purpose: bench/spans.py times the calls that
+# cli makes by rebinding these names in cli
+UNUSED_ALLOWED = {("cli.py", "level_populations")}
+
+
+def test_every_imported_name_is_used():
+    # no linter is part of the toolchain; this is the unused-import check
+    src = pathlib.Path(coldpa.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    bound[a.asname or a.name.partition(".")[0]] = node.lineno
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                for a in node.names:
+                    bound[a.asname or a.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets]
+                    == ["__all__"]):
+                used |= set(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in bound.items() if name not in used
+                   and (path.name, name) not in UNUSED_ALLOWED]
+    assert not unused, f"imported names never used: {unused}"

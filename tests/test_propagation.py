@@ -533,3 +533,33 @@ def test_runaway_recurrence_is_caught_inside_a_block():
     with pytest.raises(SpectralBoundsError):
         list(eng.steps(pair, 4.0 / eng.half_span, np.ones(BLOCK_STEPS),
                        const=True))
+
+
+# --- energy on constant intervals -------------------------------------------------
+
+@pytest.mark.parametrize("f", [0.0, 1.0])
+@pytest.mark.parametrize("path", ["exact", "blocks"])
+def test_constant_interval_conserves_energy(path, f):
+    # <H(f)> of the two-channel state at every step edge of one constant
+    # interval, on the dense exact path and on the FFT blocks
+    if path == "exact":
+        sys_, grid, _ = _offset_pair()
+        pair = np.stack([gaussian(grid, 6.0, 0.44),
+                         0.5 * gaussian(grid, 6.5, 0.6)]).astype(complex)
+        dt, n_steps = 0.02 * ps2au, 500
+    else:
+        sys_, grid, pair = _adaptive_300()
+        dt, n_steps = 0.0005 * ps2au, BLOCK_STEPS + 5
+    eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    assert (eng.h_dense is None) == (path == "blocks")
+    h = _coupled_h(sys_, grid, eng.cap, f)
+    rj = np.sqrt(grid.jac)
+
+    def energy(psi):
+        phi = (psi * rj).ravel()
+        return (phi.conj() @ h @ phi).real / np.vdot(phi, phi).real
+
+    e0 = energy(pair)
+    drift = max(abs(energy(psi) - e0)
+                for psi in eng.steps(pair, dt, np.full(n_steps, f), True))
+    assert drift <= n_steps * 1e-14 * eng.half_span

@@ -108,8 +108,7 @@ class PropagationPlan:
                    snapshots=tuple(t * ps2au for t in snapshots), **kw)
 
 
-def spectral_bounds(sys: CoupledSystem, grid: RadialGrid,
-                    v_cap: float = None, margin: float = 0.05):
+def spectral_bounds(sys: CoupledSystem, grid: RadialGrid):
     """(e_lo, e_hi, cap): the interval the propagator declares for the
     coupled Hamiltonian H(f) at every envelope value 0 <= f <= f_max.
 
@@ -119,9 +118,11 @@ def spectral_bounds(sys: CoupledSystem, grid: RadialGrid,
     convex in f, and it is even in f, since flipping the sign of the
     excited channel maps H(f) to H(-f); so it grows with |f|. The floor
     min(V) - f_max W is rigorous, since T is positive semi-definite. The
-    span between them is padded by ``margin`` on each side.
+    span between them is padded by the plan's default
+    ``spectral_margin`` on each side, under its default ``v_cap``.
     """
-    eng = _Engine(sys, grid, 1e-14, margin, v_cap)
+    eng = _Engine(sys, grid, PropagationPlan.cheb_tol,
+                  PropagationPlan.spectral_margin, PropagationPlan.v_cap)
     return eng.e_lo, eng.e_hi, eng.cap
 
 
@@ -403,12 +404,13 @@ class _Engine:
 
 
 def step(sys: CoupledSystem, grid: RadialGrid, state: TwoChannelState,
-         dt: float, f: float = None, tol: float = 1e-14,
-         margin: float = 0.05, v_cap: float = None) -> TwoChannelState:
-    """Single frozen-envelope step; f defaults to the envelope at the
+         dt: float, f: float = None) -> TwoChannelState:
+    """Single frozen-envelope step under the plan's default ``cheb_tol``,
+    ``spectral_margin`` and ``v_cap``; f defaults to the envelope at the
     midpoint of [state.t, state.t + dt]."""
     ensure_same_grid(grid, state.grid)
-    eng = _Engine(sys, grid, tol, margin, v_cap)
+    eng = _Engine(sys, grid, PropagationPlan.cheb_tol,
+                  PropagationPlan.spectral_margin, PropagationPlan.v_cap)
     if f is None:
         f = float(sys.envelope.value(state.t + 0.5 * dt))
     psi = eng.step(np.array([state.g, state.e]), dt, f)

@@ -7,14 +7,15 @@ sign, so a full and a windowed solve return the same columns. Every
 dense solve reduces H in place to tridiagonal form once, through the
 Fortran view of the C-ordered matrix (LAPACK dsytrd), and takes every
 level energy from one dsterf pass over that reduction: a window is a
-slice of that array, the bound levels are its entries at or below the
+slice of that array, the bound levels are its entries below the
 asymptote. So a windowed solve, the full solve and the bound-level
-populations give the same energies to the bit. Eigenvectors are formed
-only for the kept levels, by MRRR (dstemr) on the tridiagonal matrix and
-the reflector product (dormqr), and a solve holds at most two n x n
-arrays: H and the eigenvectors. The bound-level populations of an
-amplitude take no eigenvector on the grid: the reflectors are applied to
-the amplitude instead.
+populations give the same energies to the bit. Eigenvectors of the
+tridiagonal matrix are formed only for the kept levels, by MRRR
+(dstemr) for the full spectrum and by inverse iteration (dstein) on
+those energies for a window, and then the reflector product (dormqr).
+A window holds one n x n array, H, plus its kept columns. The
+bound-level populations of an amplitude are its projections on the
+bound window's states.
 The continuum start takes no full eigensolve: shift-invert Lanczos at
 the target energy on one in-place LDL^T factorization, whose inertia
 gives the level's place in the box spectrum.
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dsymv
-from scipy.linalg.lapack import (dormqr, dstemr, dsterf, dsytrd, dsytrf,
-                                 dsytrs)
+from scipy.linalg.lapack import (dormqr, dstein, dstemr, dsterf, dsytrd,
+                                 dsytrf, dsytrs)
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import (DomainError, GridMismatchError, NumericsError,
@@ -153,29 +154,33 @@ def _reduce(curve, grid: RadialGrid):
     return a, d, e, tau, energies
 
 
-def _tridiagonal_vectors(curve, d, e, lo: int, hi: int) -> np.ndarray:
+def _tridiagonal_vectors(curve, d, e, energies, lo: int,
+                         hi: int) -> np.ndarray:
     """Eigenvectors lo..hi-1 (0-based, ascending) of the tridiagonal (d, e)
-    by MRRR (dstemr), in the first hi - lo columns of an n x n Fortran
-    array; all n at once where that is every level, since an index range
-    over all of them is slower. dstemr's own eigenvalues are dropped: the
-    energies are :func:`_reduce`'s."""
+    as an n x (hi - lo) Fortran array. All n come from MRRR (dstemr), as
+    inverse iteration is ten times slower there; a window comes from
+    inverse iteration (dstein) on its entries of :func:`_reduce`'s
+    ``energies``, which writes the kept columns alone."""
     n = len(d)
     if lo == hi:
         return np.empty((n, 0), order="F")
-    sub = np.zeros(n)                       # dstemr overwrites its e
-    sub[:-1] = e
-    every = lo == 0 and hi == n
-    _, _, z, info = dstemr(d, sub, 0 if every else 2, 0.0, 0.0,
-                           lo + 1, hi)
-    _check(info, "dstemr", curve)
+    if hi - lo == n:
+        sub = np.zeros(n)                   # dstemr overwrites its e
+        sub[:-1] = e
+        _, _, z, info = dstemr(d, sub, 0, 0.0, 0.0, 1, n)
+        _check(info, "dstemr", curve)
+        return z
+    # one unsplit block: every level is in block 1, which ends at row n
+    block = np.ones(n, dtype=np.int32)
+    z, info = dstein(d, e, energies[lo:hi], block, np.full(n, n, np.int32))
+    _check(info, "dstein", curve)
     return z
 
 
-def _apply_q(curve, a, tau, z: np.ndarray, trans: str = "N"):
-    """z <- Q z (or Q^T z for ``trans="T"``) in place, Q from dsytrd's
-    reflectors in ``a``, by LAPACK's blocked dormqr on rows 1..n-1 of
-    _BLOCK columns of z at a time, so the copy scipy makes of each block
-    stays small."""
+def _apply_q(curve, a, tau, z: np.ndarray):
+    """z <- Q z in place, Q from dsytrd's reflectors in ``a``, by LAPACK's
+    blocked dormqr on rows 1..n-1 of _BLOCK columns of z at a time, so
+    the copy scipy makes of each block stays small."""
     if not z.shape[1]:
         return
     # Q = diag(1, Q'), and LAPACK's dormtr applies Q' as dormqr on
@@ -184,9 +189,9 @@ def _apply_q(curve, a, tau, z: np.ndarray, trans: str = "N"):
     # a that starts at a[1, 0]; dormqr reads only its first n - 1 rows
     n = len(a)
     v = a.ravel(order="F")[1:1 + n * (n - 1)].reshape(n, n - 1, order="F")
-    lwork = int(dormqr("L", trans, v, tau, z[1:, :_BLOCK], -1)[1][0])
+    lwork = int(dormqr("L", "N", v, tau, z[1:, :_BLOCK], -1)[1][0])
     for j0 in range(0, z.shape[1], _BLOCK):
-        blk, _, info = dormqr("L", trans, v, tau, z[1:, j0:j0 + _BLOCK],
+        blk, _, info = dormqr("L", "N", v, tau, z[1:, j0:j0 + _BLOCK],
                               lwork)
         _check(info, "dormqr", curve)
         z[1:, j0:j0 + _BLOCK] = blk
@@ -197,22 +202,24 @@ def solve_levels(curve, grid: RadialGrid, window=None,
                  verify_resolution: bool = False,
                  drift_tol: float = 1e-6) -> LevelSet:
     """Eigenpairs of T + V on the grid, optionally restricted to the
-    energy window (lo, hi] (hartree).
+    energy window (lo, hi) (hartree).
 
     Without a window the full spectrum is returned. With one, the levels
     at or below lo are dropped and ``first_index`` counts them; lo may be
-    ``-inf``, so ``window=(-np.inf, asymptote)`` gives the bound levels
-    alone. A window that holds no level gives a set of none.
+    ``-inf``, so ``window=(-np.inf, asymptote)`` gives the bound levels,
+    those below the asymptote, as :meth:`LevelSet.bound` does. A window
+    that holds no level gives a set of none.
 
     H is reduced in place to tridiagonal form once, and every energy is
     taken from one dsterf pass over all n levels (:func:`_reduce`): the
     window is a slice of that array. So a windowed solve, the full one
     and :func:`bound_populations` give the same energies to the bit. Only
-    the eigenvectors of the kept levels are formed, by MRRR (dstemr) on
-    the tridiagonal matrix and LAPACK's blocked reflector product
-    (dormqr). The solve holds at most two n x n arrays: H and dstemr's
-    eigenvector array, which a window cuts down to its kept columns
-    once H is dropped.
+    the eigenvectors of the kept levels are formed, on the tridiagonal
+    matrix, and then LAPACK's blocked reflector product (dormqr) maps
+    them back: MRRR (dstemr) serves the full spectrum, and inverse
+    iteration (dstein) on the window's energies serves a window. A
+    window holds one n x n array, H, plus its kept columns; the full
+    solve holds two.
 
     Parameters
     ----------
@@ -230,25 +237,22 @@ def solve_levels(curve, grid: RadialGrid, window=None,
     """
     if window is not None and not window[0] < window[1]:
         raise DomainError(f"bad energy window [{window[0]}, {window[1]}]")
-    n = grid.n
     a, d, e, tau, evals = _reduce(curve, grid)
-    first, last = 0, n
+    first, last = 0, grid.n
     if window is not None:
-        first, last = (int(k) for k in
-                       np.searchsorted(evals, window, side="right"))
+        first = int(np.searchsorted(evals, window[0], side="right"))
+        last = int(np.searchsorted(evals, window[1], side="left"))
+    phi = _tridiagonal_vectors(curve, d, e, evals, first, last)
     evals = evals[first:last]
-    z = _tridiagonal_vectors(curve, d, e, first, last)
-    _apply_q(curve, a, tau, z[:, :last - first])
+    _apply_q(curve, a, tau, phi)
     del a
-    phi = z if last - first == n else z[:, :last - first].copy(order="F")
-    del z
     asym = float(curve.asymptote) if hasattr(curve, "asymptote") else 0.0
     levels = LevelSet(evals, _phi_to_psi(grid, phi), grid, asym, first)
     if verify_resolution:
         evals2 = _reduce(curve, _refined(grid))[4]
         if window is not None:
             check = evals
-            ref_lo = int(np.searchsorted(evals2, window[0]))
+            ref_lo = int(np.searchsorted(evals2, window[0], side="right"))
         else:
             # without a window only the bound levels are meaningful to check
             check = evals[evals < asym]
@@ -268,36 +272,18 @@ def solve_levels(curve, grid: RadialGrid, window=None,
 
 
 def bound_populations(curve, grid: RadialGrid, amp: np.ndarray):
-    """(energies, populations) of the bound levels of one channel: its
-    levels at or below the asymptote, ascending, and |<v|amp>|^2 for the
-    amplitude ``amp`` (psi values, complex or real) in each. No
-    eigenvector is formed on the grid.
-
-    H is reduced in place to a tridiagonal T_d = Q^T H Q, with every
-    energy from one dsterf pass (:func:`_reduce`); the bound ones are the
-    entries at or below the asymptote. The n - 1 Householder reflectors
-    that make Q are applied to y = sqrt(w) amp by LAPACK's blocked dormqr,
-    as dormtr does, giving Q^T y, and H is freed. The eigenvectors z_v of
-    T_d for those levels come from MRRR (dstemr); the phi-eigenvector of
-    level v is Q z_v, so <v|amp> = z_v^T Q^T y. So the energies are those
-    of ``solve_levels(curve, grid, window=(-inf, asymptote))`` to the bit
-    and the populations those of
-    :func:`~coldpa.observables.level_populations` on it, from one n x n
-    array where that solve holds two.
+    """(energies, populations) of the bound levels of one channel: the
+    levels of ``solve_levels(curve, grid, window=(-inf, asymptote))``,
+    ascending, and |<v|amp>|^2 = |sum_i w_i psi_v(r_i) amp_i|^2 for the
+    amplitude ``amp`` (psi values, complex or real) in each, as
+    :func:`~coldpa.observables.level_populations` gives on that set.
     """
     amp = np.asarray(amp)
     if amp.shape != (grid.n,):
         raise GridMismatchError("channel amplitude length != grid size")
     asym = float(getattr(curve, "asymptote", 0.0))
-    y = np.sqrt(grid.w) * amp
-    a, d, e, tau, energies = _reduce(curve, grid)
-    qy = np.array([y.real, y.imag]).T         # [re, im] columns, Fortran
-    _apply_q(curve, a, tau, qy, "T")
-    del a
-    m = int(np.searchsorted(energies, asym, side="right"))
-    z = _tridiagonal_vectors(curve, d, e, 0, m)[:, :m]
-    c = z.T @ qy                              # (levels, [re, im])
-    return energies[:m], np.sum(c * c, axis=1)
+    bound = solve_levels(curve, grid, window=(-np.inf, asym))
+    return bound.energies, np.abs(bound.states.T @ (grid.w * amp)) ** 2
 
 
 @dataclass(frozen=True)

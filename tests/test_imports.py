@@ -54,3 +54,23 @@ def test_every_imported_name_is_used():
                    for name, line in bound.items() if name not in used
                    and (path.name, name) not in UNUSED_ALLOWED]
     assert not unused, f"imported names never used: {unused}"
+
+
+def test_every_checked_lapack_routine_has_a_failure_case():
+    # each routine spectrum names in a failure message is made to fail once
+    src = pathlib.Path(coldpa.__file__).parent / "spectrum.py"
+    checked = {node.args[1].value
+               for node in ast.walk(ast.parse(src.read_text(), str(src)))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "_check"}
+    test = pathlib.Path(__file__).parent / "test_spectrum.py"
+    cases = set()
+    for node in ast.walk(ast.parse(test.read_text(), str(test))):
+        if (isinstance(node, ast.FunctionDef) and node.name
+                == "test_lapack_failure_names_routine_and_channel"):
+            for deco in node.decorator_list:
+                cases |= {case[0] for case in
+                          ast.literal_eval(deco.args[1])}
+    missing = sorted(checked - cases)
+    assert checked and not missing, (
+        f"LAPACK routines with no failure case: {missing}")

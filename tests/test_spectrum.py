@@ -356,10 +356,12 @@ def _spread_amplitude(grid, bound):
 
 @pytest.mark.parametrize("which", ["n420", "analog"])
 def test_bound_populations_match_windowed_levels(which, analog_grid):
+    # the reference is the full solve's bound columns, by MRRR: the bound
+    # window and bound_populations share one inverse-iteration solve
     sys_, grid = (_reference_grid(420, 60.0) if which == "n420"
                   else analog_grid)
     for curve in (sys_.ground, sys_.excited):
-        bound = solve_levels(curve, grid, window=(-np.inf, curve.asymptote))
+        bound = solve_levels(curve, grid).bound()
         amp = _spread_amplitude(grid, bound)
         want = level_populations(grid, amp, bound)
         energies, pops = bound_populations(curve, grid, amp)
@@ -368,6 +370,28 @@ def test_bound_populations_match_windowed_levels(which, analog_grid):
         np.testing.assert_allclose(pops, want, rtol=0.0, atol=1e-12)
         # the amplitude reaches the continuum: the bound part is not all
         assert 0.05 < np.sum(pops) < 0.95
+
+
+def test_a_level_on_the_asymptote_is_not_bound():
+    # the asymptote does not enter H, so it can sit on a level to the bit;
+    # every bound-level consumer must then leave that level out
+    g = build_uniform(1.5, 30.0, 512, MU)
+
+    def on_level(r):
+        return _morse(r)
+
+    on_level.asymptote = float(solve_levels(_morse, g).energies[8])
+    full = solve_levels(on_level, g)
+    assert full.energies[8] == on_level.asymptote
+    bound = full.bound()
+    win = solve_levels(on_level, g, window=(-np.inf, on_level.asymptote))
+    energies, pops = bound_populations(on_level, g, g.r)
+    assert bound.n_levels == win.n_levels == len(energies) == len(pops) == 8
+    assert np.array_equal(win.energies, bound.energies)
+    assert np.array_equal(energies, bound.energies)
+    # a window's upper end is open at every level, not only the asymptote
+    e = full.energies
+    assert solve_levels(on_level, g, window=(e[2], e[6])).n_levels == 3
 
 
 def _named_morse(r):
@@ -427,7 +451,25 @@ def test_empty_window_gives_no_levels():
         assert win.first_index == first
 
 
-@pytest.mark.parametrize("routine,info", [("dsterf", 1), ("dstemr", 2),
+def _full_solve(curve, g):
+    return solve_levels(curve, g)
+
+
+def _window_solve(curve, g):
+    return solve_levels(curve, g, window=(-1.0, 0.0))
+
+
+def _bound_solve(curve, g):
+    return bound_populations(curve, g, g.r)
+
+
+# MRRR (dstemr) serves the full spectrum alone, inverse iteration (dstein)
+# a window alone; every solve reaches the other routines
+_SOLVES = {"dstemr": (_full_solve,), "dstein": (_window_solve, _bound_solve)}
+
+
+@pytest.mark.parametrize("routine,info", [("dsytrd", -2), ("dsterf", 1),
+                                          ("dstemr", 2), ("dstein", 3),
                                           ("dormqr", -5)])
 def test_lapack_failure_names_routine_and_channel(routine, info,
                                                   monkeypatch):
@@ -437,14 +479,13 @@ def test_lapack_failure_names_routine_and_channel(routine, info,
                         lambda *a, **kw: real(*a, **kw)[:-1] + (info,))
     want = re.escape(f"LAPACK {routine} failed on the ground Hamiltonian "
                      f"(info {info})")
-    for solve in (lambda: solve_levels(_named_morse, g),
-                  lambda: solve_levels(_named_morse, g, window=(-1.0, 0.0)),
-                  lambda: bound_populations(_named_morse, g, g.r)):
+    for solve in _SOLVES.get(routine,
+                             (_full_solve, _window_solve, _bound_solve)):
         with pytest.raises(NumericsError, match=want):
-            solve()
-    # an unnamed curve is reported as a channel
-    with pytest.raises(NumericsError, match="on the channel Hamiltonian"):
-        solve_levels(_morse, g)
+            solve(_named_morse, g)
+        # an unnamed curve is reported as a channel
+        with pytest.raises(NumericsError, match="on the channel Hamiltonian"):
+            solve(_morse, g)
 
 
 def _peak_n2(fn, n):
@@ -468,8 +509,9 @@ def test_dense_solves_hold_at_most_two_matrices(analog_grid):
     for curve in (sys_.ground, sys_.excited):
         bound = (-np.inf, curve.asymptote)
         assert _peak_n2(lambda: solve_levels(curve, grid), n) <= 2.2
+        # a window holds H and its kept columns, not two n x n arrays
         assert _peak_n2(lambda: solve_levels(curve, grid, window=bound),
-                        n) <= 2.2
+                        n) <= 1.4
         amp = gaussian(grid, 60.0, 10.0, k0=0.3)
         assert _peak_n2(lambda: bound_populations(curve, grid, amp),
                         n) <= 1.5

@@ -24,16 +24,14 @@ from .impulsive import (ImpulsivePrediction, PredictedPeak,
                         decompose_impulsive, evolve_impulsive,
                         predict_k_peaks)
 from .observables import (HoleReport, MomentumPeak, ThermalYield,
-                          bound_fraction, continuum_fraction, detect_hole,
-                          find_momentum_peaks, level_populations,
-                          momentum_at_radius, project_levels,
-                          radius_from_momentum, thermal_yield)
+                          detect_hole, find_momentum_peaks, level_populations,
+                          momentum_at_radius, radius_from_momentum,
+                          thermal_yield)
 from .potentials import (AdiabaticPair, CoupledSystem, PotentialCurve,
                          PulseEnvelope, Segment, adiabatic_potentials,
                          calibrate_crossing, find_crossing, local_detuning,
                          local_rabi_period, reference_system, rabi_period)
-from .propagation import (PropagationPlan, TimeSeries, propagate,
-                          spectral_bounds, step)
+from .propagation import PropagationPlan, TimeSeries, propagate
 from .spectrum import (ContinuumRef, LevelSet, adiabatic_period, beat_period,
                        bound_populations, continuum_state, count_nodes,
                        franck_condon, hamiltonian_matrix, solve_levels,
@@ -49,16 +47,14 @@ __all__ = [
     "PulseEnvelope", "Quantity", "RadialGrid", "RangeError",
     "ResolutionError", "RunConfig", "Segment", "SpectralBoundsError",
     "ThermalYield", "TimeSeries", "TwoChannelState", "adiabatic_period",
-    "adiabatic_potentials", "apply_kinetic", "beat_period", "bound_fraction",
-    "bound_populations",
-    "build_adaptive", "build_grid", "build_uniform", "calibrate_crossing",
-    "continuum_fraction", "continuum_state", "convert", "count_nodes",
+    "adiabatic_potentials", "apply_kinetic", "beat_period",
+    "bound_populations", "build_adaptive", "build_grid", "build_uniform",
+    "calibrate_crossing", "continuum_state", "convert", "count_nodes",
     "decompose_impulsive", "detect_hole", "evolve_impulsive",
     "find_crossing", "find_momentum_peaks", "franck_condon", "from_momentum",
     "gaussian", "hamiltonian_matrix", "inner", "kinetic_matrix",
     "level_populations", "local_detuning", "local_rabi_period",
     "momentum_at_radius", "normalize", "reference_system",
-    "predict_k_peaks", "project_levels", "propagate", "rabi_period",
-    "radius_from_momentum", "solve_levels", "spectral_bounds", "step",
-    "thermal_yield", "to_momentum", "vibrational_period",
+    "predict_k_peaks", "propagate", "rabi_period", "radius_from_momentum",
+    "solve_levels", "thermal_yield", "to_momentum", "vibrational_period",
 ]

@@ -196,6 +196,15 @@ class RunConfig:
         if self["initial.v"] < 0:
             raise ConfigError(
                 f"initial.v must be >= 0, got {self['initial.v']}")
+        # detect_hole would refuse these, and analyze would report no hole
+        if not 0.0 < self["analysis.hole_threshold"] < 1.0:
+            raise ConfigError(
+                f"analysis.hole_threshold must lie inside (0, 1), "
+                f"got {self['analysis.hole_threshold']}")
+        if self["analysis.hole_smooth"] <= 0.0:
+            raise ConfigError(
+                f"analysis.hole_smooth must be > 0 bohr, "
+                f"got {self['analysis.hole_smooth']}")
 
     # ---- builders ----------------------------------------------------
     def coupling_au(self) -> float:

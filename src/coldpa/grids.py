@@ -63,8 +63,9 @@ def _cot_sum(big: int, p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Interior DVR nodes of a radial box. The quadrature weights ``w``
-    and the sine-mode wavenumbers ``kx`` follow from the fields."""
+    """Interior DVR nodes of a radial box. The Jacobian at the nodes
+    ``jac``, the quadrature weights ``w`` and the sine-mode wavenumbers
+    ``kx`` follow from the fields."""
 
     r: np.ndarray             # nodes, bohr, strictly increasing
     r_lo: float               # left box edge (wavefunction node)
@@ -72,8 +73,7 @@ class RadialGrid:
     mu: float                 # reduced mass, m_e
     kind: str                 # "uniform" | "adaptive"
     dx: float                 # step of the auxiliary coordinate
-    jac: np.ndarray | None = None        # dR/dx at nodes; ones if not given
-    jac_full: np.ndarray | None = None   # dR/dx at nodes plus both edges
+    jac_full: np.ndarray | None = None   # dR/dx at edges and nodes, or ones
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -84,20 +84,21 @@ class RadialGrid:
         r = self.r
         if r[0] <= self.r_lo or r[-1] >= self.r_hi or np.any(np.diff(r) <= 0):
             raise DomainError("grid nodes must increase strictly inside the box")
-        if (self.jac is None) != (self.jac_full is None):
-            raise DomainError("grid jac and jac_full must be given together")
-        if self.jac is None:
-            object.__setattr__(self, "jac", np.ones(self.n))
+        if self.jac_full is None:
             object.__setattr__(self, "jac_full", np.ones(self.n + 2))
-        for name, size in (("jac", self.n), ("jac_full", self.n + 2)):
-            a = np.asarray(getattr(self, name))
-            if a.shape != (size,) or not (np.isfinite(a) & (a > 0)).all():
-                raise DomainError(
-                    f"grid {name} needs {size} finite positive entries")
+        a = np.asarray(self.jac_full)
+        if a.shape != (self.n + 2,) or not (np.isfinite(a) & (a > 0)).all():
+            raise DomainError(
+                f"grid jac_full needs {self.n + 2} finite positive entries")
 
     @property
     def n(self) -> int:
         return len(self.r)
+
+    @property
+    def jac(self) -> np.ndarray:
+        """dR/dx at the nodes, the interior of ``jac_full``."""
+        return self.jac_full[1:-1]
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -112,14 +113,10 @@ class RadialGrid:
         return np.pi * np.arange(1, self.n + 1) / span
 
     @property
-    def dr_local(self) -> np.ndarray:
-        """Local node spacing J * dx (constant on uniform grids)."""
-        return self.w
-
-    @property
     def k_max(self) -> float:
-        """Peak representable local momentum pi / min(dr)."""
-        return np.pi / float(np.min(self.dr_local))
+        """Peak representable local momentum pi / min(dr), with the local
+        node spacing dr = J * dx, that is ``w``."""
+        return np.pi / float(np.min(self.w))
 
     @property
     def kinetic_fft_len(self) -> int:
@@ -130,7 +127,7 @@ class RadialGrid:
 
     @cached_property
     def _convolution(self):
-        """(spectra, J^-1/2, J^-1, r_m^2 / 2 mu) for :func:`_mapped_gram`,
+        """(spectra, J^-1, r_m^2 / 2 mu) for :func:`_mapped_gram`,
         with r_m from :func:`_row_scale`. The spectra are
         (K1, conj K1, conj K2), K1 and K2 the length-L DFTs of the real
         tables k1[q] = F(1 - q), q = 1-n..n+1, and k2[q] = F(q + 1),
@@ -143,8 +140,7 @@ class RadialGrid:
         k1[q % size] = _cot_sum(big, 1 - q)
         spec1 = sfft.fft(k1)
         spec2 = sfft.fft(_cot_sum(big, np.arange(1, 2 * n + 2)), size)
-        return ((spec1, spec1.conj(), spec2.conj()),
-                1.0 / np.sqrt(self.jac), 1.0 / self.jac,
+        return ((spec1, spec1.conj(), spec2.conj()), 1.0 / self.jac,
                 _row_scale(self) ** 2 / (2.0 * self.mu))
 
 
@@ -220,9 +216,8 @@ def build_adaptive(v_env, mu: float, n: int, r_lo: float, r_hi: float,
     # dR/dx = total / density at the box edges and the nodes
     r_full = np.concatenate([[r_lo], r, [r_hi]])
     dens = k_loc_of(np.asarray(v_env(r_full), dtype=float)) / (beta * np.pi)
-    jac_full = total / dens
     return RadialGrid(r=r, r_lo=r_lo, r_hi=r_hi, mu=mu, kind="adaptive",
-                      dx=1.0 / (n + 1), jac=jac_full[1:-1], jac_full=jac_full)
+                      dx=1.0 / (n + 1), jac_full=total / dens)
 
 
 def build_grid(sys, n: int, r_lo: float, r_hi: float, kind: str = "uniform",
@@ -255,18 +250,19 @@ def _refined(grid: RadialGrid) -> RadialGrid:
         return build_uniform(grid.r_lo, grid.r_hi, 2 * grid.n, grid.mu)
     # reuse the mapping profile (x in [0, 1], so not for uniform grids):
     # doubling n halves every local spacing
-    jac_mid = 0.5 * (grid.jac_full[:-1] + grid.jac_full[1:])
     n2 = 2 * grid.n + 1
     dx2 = 1.0 / (n2 + 1)
-    jac2 = np.empty(n2)
-    jac2[0::2] = jac_mid
-    jac2[1::2] = grid.jac
+    # the old edges and nodes keep their J; each new node between two
+    # takes their mean
+    jf2 = np.empty(n2 + 2)
+    jf2[[0, -1]] = grid.jac_full[[0, -1]]
+    jf2[1:-1:2] = 0.5 * (grid.jac_full[:-1] + grid.jac_full[1:])
+    jf2[2:-1:2] = grid.jac
     x_old = np.concatenate([[0.0], np.arange(1, grid.n + 1) * grid.dx, [1.0]])
     r_old = np.concatenate([[grid.r_lo], grid.r, [grid.r_hi]])
     r2 = PchipInterpolator(x_old, r_old)(np.arange(1, n2 + 1) * dx2)
-    jf2 = np.concatenate([[grid.jac_full[0]], jac2, [grid.jac_full[-1]]])
     return RadialGrid(r=r2, r_lo=grid.r_lo, r_hi=grid.r_hi, mu=grid.mu,
-                      kind="adaptive", dx=dx2, jac=jac2, jac_full=jf2)
+                      kind="adaptive", dx=dx2, jac_full=jf2)
 
 
 # kinetic operator -----------------------------------------------------------
@@ -311,7 +307,7 @@ def _mapped_gram(grid: RadialGrid, u: np.ndarray,
     constant factor into it (the propagator its 2 / half_span).
     """
     n = grid.n
-    spectra, _, _, r2 = grid._convolution
+    spectra, _, r2 = grid._convolution
     size = grid.kinetic_fft_len
     real = not np.iscomplexobj(u)
     if real:
@@ -327,28 +323,13 @@ def _mapped_gram(grid: RadialGrid, u: np.ndarray,
     return inv(b, size, overwrite_x=True)[..., :n]
 
 
-def apply_kinetic_phi(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
-    """T acting on the transformed function phi = sqrt(J) psi.
-
-    The similarity-transformed operator J^{-1/2} d/dx (1/J) d/dx J^{-1/2}
-    as the symmetric PSD Gram form B^T B / (2 mu), applied by two FFT
-    convolutions at the 5-smooth length L >= 2n+1 of
-    :attr:`RadialGrid.kinetic_fft_len` (:func:`_mapped_gram`). On a
-    uniform grid (J == 1) it is the spectral sine-basis operator, exact
-    for basis members. Accepts (n,) or (n, m) arrays, real or complex
-    (columns transformed independently).
-    """
-    rj = grid._convolution[1]               # J^-1/2
-    return (_mapped_gram(grid, phi.T * rj) * rj).T
-
-
 def apply_kinetic(grid: RadialGrid, amp: np.ndarray) -> np.ndarray:
     """Kinetic operator on wavefunction values psi(r_i).
 
     It composes to the exact similarity pair (1/J) d/dx (1/J) d/dx of the
     physical second derivative.
     """
-    inv_j = grid._convolution[2]
+    inv_j = grid._convolution[1]
     return (_mapped_gram(grid, amp.T) * inv_j).T
 
 

@@ -19,33 +19,11 @@ RADIUS_CHECK_CM = 0.5       # gap residual radius_from_momentum allows, cm-1
 HOLE_SUPPORT_FLOOR = 1e-3   # share of max rho below which detect_hole skips
 
 
-def project_levels(grid: RadialGrid, amp: np.ndarray,
-                   levels: LevelSet) -> np.ndarray:
-    """Complex coefficients <v | amp> for every level in the set."""
-    ensure_same_grid(grid, levels.grid)
-    return levels.states.conj().T @ (grid.w * amp)
-
-
 def level_populations(grid: RadialGrid, amp: np.ndarray,
                       levels: LevelSet) -> np.ndarray:
-    return np.abs(project_levels(grid, amp, levels)) ** 2
-
-
-def bound_fraction(grid: RadialGrid, amp: np.ndarray,
-                   levels: LevelSet) -> float:
-    """Population captured by the bound subset of a level set."""
-    return float(np.sum(level_populations(grid, amp, levels.bound())))
-
-
-def continuum_fraction(grid: RadialGrid, amp: np.ndarray,
-                       levels: LevelSet) -> float:
-    """Channel norm not accounted for by the bound levels.
-
-    Needs a level set converged on the same grid; the box discretizes the
-    continuum, so "bound" is decided against the channel asymptote.
-    """
-    total = float(np.sum(np.abs(amp) ** 2 * grid.w))
-    return total - bound_fraction(grid, amp, levels)
+    """|<v | amp>|^2 for every level in the set."""
+    ensure_same_grid(grid, levels.grid)
+    return np.abs(levels.states.conj().T @ (grid.w * amp)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +197,9 @@ def detect_hole(grid: RadialGrid, amp_before: np.ndarray,
     """
     if not 0.0 < threshold < 1.0:
         raise DomainError("threshold must sit strictly inside (0, 1)")
+    if not 0.0 < smooth_width < np.inf:
+        raise DomainError(f"smooth_width must be finite and positive, "
+                          f"got {smooth_width}")
     rho_i, rho_f = _smooth_density(
         grid, np.column_stack([amp_before, amp_after]), smooth_width).T
     support = rho_i > HOLE_SUPPORT_FLOOR * rho_i.max()

@@ -4,12 +4,14 @@ The pulse envelope is frozen at the midpoint of every step, which is exact
 on constant segments and second-order accurate on ramps; ramp segments get
 their own (smaller) step size. The spectral bounds, which set the
 expansion order (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), are
-measured once per run on the operator the propagator applies: the top is
-the largest eigenvalue of the capped coupled H at the peak envelope value,
-found by Lanczos, and the floor is min(V) - f_max W, rigorous since T is
-positive semi-definite (see :func:`spectral_bounds`). Both are padded by a
-configurable margin; a runaway recurrence is detected and reported rather
-than silently aliased.
+measured once per run by :class:`_Engine` on the operator the propagator
+applies. The top is the largest eigenvalue of the capped coupled H at the
+peak envelope value f_max, found by Lanczos; it bounds every step, since
+lambda_max(H0 + f C) is convex in f (a maximum of linear functions) and
+even in f (flipping the sign of the excited channel maps H(f) to H(-f)).
+The floor is min(V) - f_max W, rigorous since T is positive
+semi-definite. Both are padded by a configurable margin; a runaway
+recurrence is detected and reported rather than silently aliased.
 
 One state layout, one operator builder and one recurrence serve every
 grid. The state is a C-ordered channel-major (2, n) complex block of psi
@@ -108,24 +110,6 @@ class PropagationPlan:
                    snapshots=tuple(t * ps2au for t in snapshots), **kw)
 
 
-def spectral_bounds(sys: CoupledSystem, grid: RadialGrid):
-    """(e_lo, e_hi, cap): the interval the propagator declares for the
-    coupled Hamiltonian H(f) at every envelope value 0 <= f <= f_max.
-
-    cap is the potential ceiling applied inside the propagator. The top
-    is lambda_max(H(f_max)), measured by Lanczos. It bounds every step:
-    lambda_max(H0 + f C) is a maximum of functions linear in f, so it is
-    convex in f, and it is even in f, since flipping the sign of the
-    excited channel maps H(f) to H(-f); so it grows with |f|. The floor
-    min(V) - f_max W is rigorous, since T is positive semi-definite. The
-    span between them is padded by the plan's default
-    ``spectral_margin`` on each side, under its default ``v_cap``.
-    """
-    eng = _Engine(sys, grid, PropagationPlan.cheb_tol,
-                  PropagationPlan.spectral_margin, PropagationPlan.v_cap)
-    return eng.e_lo, eng.e_hi, eng.cap
-
-
 # sign of c_k = 2 J_k (-i)^k in its real (even k) or imaginary (odd k) part
 _SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 # most steps of a constant interval on the FFT path taken from one expansion
@@ -137,7 +121,8 @@ _FOLD = 8
 
 class _Engine:
     """Cached arrays and the propagation kernels for one (sys, grid) pair,
-    on C-ordered channel-major (2, n) psi blocks, ground row first."""
+    on C-ordered channel-major (2, n) psi blocks, ground row first. Its
+    (e_lo, e_hi) bound H(f) for every 0 <= f <= f_max under ``cap``."""
 
     def __init__(self, sys: CoupledSystem, grid: RadialGrid,
                  tol: float, margin: float, v_cap: float = None):
@@ -217,7 +202,7 @@ class _Engine:
                 m[np.diag_indices_from(m)] -= shift * scale
                 self._op = m
             else:
-                self._op = (self.grid._convolution[3] * scale,
+                self._op = (self.grid._convolution[2] * scale,
                             (self.v - shift) * scale)
             self._op_key = key
         if dense:
@@ -226,7 +211,7 @@ class _Engine:
             np.fill_diagonal(m[n:, :n], w_eff * scale)
             return partial(np.matmul, m)
         row, diag = self._op
-        inv_j, ws = self.grid._convolution[2], w_eff * scale
+        inv_j, ws = self.grid._convolution[1], w_eff * scale
 
         def apply(x, out):
             t0 = time.perf_counter()
@@ -401,20 +386,6 @@ class _Engine:
             # a C-ordered real (2n, 2) [re, im] array is a complex 2n vector
             psi = (v @ c.view(float).reshape(-1, 2)).view(complex)
             yield psi.reshape(jpsi.shape)
-
-
-def step(sys: CoupledSystem, grid: RadialGrid, state: TwoChannelState,
-         dt: float, f: float = None) -> TwoChannelState:
-    """Single frozen-envelope step under the plan's default ``cheb_tol``,
-    ``spectral_margin`` and ``v_cap``; f defaults to the envelope at the
-    midpoint of [state.t, state.t + dt]."""
-    ensure_same_grid(grid, state.grid)
-    eng = _Engine(sys, grid, PropagationPlan.cheb_tol,
-                  PropagationPlan.spectral_margin, PropagationPlan.v_cap)
-    if f is None:
-        f = float(sys.envelope.value(state.t + 0.5 * dt))
-    psi = eng.step(np.array([state.g, state.e]), dt, f)
-    return TwoChannelState(grid, *psi, state.t + dt)
 
 
 # TimeSeries.meta entries that are wall-clock seconds, so differ between

@@ -118,28 +118,11 @@ class Quantity:
         return dim
 
 
-def thermal_energy(temperature_k: float) -> float:
-    """k_B * T in hartree for a temperature in kelvin."""
-    if temperature_k < 0:
-        raise DomainError(f"negative temperature {temperature_k} K")
-    return kb_hartree * temperature_k
-
-
 def kinetic_energy(k_au, mu: float):
     """hbar^2 k^2 / (2 mu) in hartree; k in atomic momentum units."""
     if mu <= 0:
         raise DomainError(f"reduced mass must be positive, got {mu}")
     return np.asarray(k_au) ** 2 / (2.0 * mu)
-
-
-def momentum_from_energy(energy_h, mu: float):
-    """Inverse of :func:`kinetic_energy`; energy in hartree."""
-    if mu <= 0:
-        raise DomainError(f"reduced mass must be positive, got {mu}")
-    e = np.asarray(energy_h)
-    if np.any(e < 0):
-        raise DomainError("kinetic energy must be non-negative")
-    return np.sqrt(2.0 * mu * e)
 
 
 def coupling_from_intensity(intensity_w_cm2: float, dipole_au: float) -> float:
@@ -156,11 +139,3 @@ def coupling_from_intensity(intensity_w_cm2: float, dipole_au: float) -> float:
         raise DomainError(f"negative intensity {intensity_w_cm2} W/cm^2")
     field = np.sqrt(intensity_w_cm2 / au_intensity)   # peak field, a.u.
     return 0.5 * field * abs(dipole_au)
-
-
-def intensity_from_coupling(coupling_h: float, dipole_au: float) -> float:
-    """Intensity in W/cm^2 that yields the given |W| for dipole D."""
-    if dipole_au == 0:
-        raise DomainError("dipole must be nonzero to invert the coupling")
-    field = 2.0 * abs(coupling_h) / abs(dipole_au)
-    return field**2 * au_intensity

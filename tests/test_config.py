@@ -86,6 +86,15 @@ def test_negative_level_index_rejected():
             RunConfig.parse(MINIMAL + f"[initial]\nkind = level\nv = {v}\n")
 
 
+def test_hole_settings_out_of_range_rejected():
+    # analyze would catch detect_hole's refusal and report no hole
+    for key, raw in [("hole_threshold", "1.5"), ("hole_threshold", "0"),
+                     ("hole_threshold", "1"), ("hole_threshold", "-0.5"),
+                     ("hole_smooth", "0"), ("hole_smooth", "-2")]:
+        with pytest.raises(ConfigError, match=f"analysis.{key}"):
+            RunConfig.parse(MINIMAL + f"[analysis]\n{key} = {raw}\n")
+
+
 def test_boolean_style_values_rejected_where_float():
     with pytest.raises(ConfigError):
         RunConfig.parse(MINIMAL + "[propagation]\ncheb_tol = maybe\n")

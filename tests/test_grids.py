@@ -8,9 +8,8 @@ from scipy.linalg import eigh
 from coldpa.errors import (DomainError, GridCapacityError, GridMismatchError,
                            RangeError)
 from coldpa.grids import (MomentumSpectrum, RadialGrid, TwoChannelState,
-                          _mapped_gram, apply_kinetic, apply_kinetic_phi,
-                          build_adaptive, build_grid, build_uniform,
-                          ensure_same_grid, from_momentum, gaussian, inner,
+                          _mapped_gram, apply_kinetic, build_adaptive,
+                          build_grid, build_uniform, ensure_same_grid, from_momentum, gaussian, inner,
                           kinetic_matrix, normalize, same_grid, to_momentum)
 from coldpa.potentials import reference_system
 from coldpa.spectrum import _refined
@@ -26,6 +25,13 @@ def _morse(r, de=0.01, a=0.8, re=4.0):
 
 def _adaptive(n=300, e_env=0.002):
     return build_adaptive(_morse, MU, n, 1.5, 30.0, e_env=e_env)
+
+
+def _kinetic_phi(g, phi):
+    """T on phi = sqrt(J) psi along axis 0: sqrt(J) apply_kinetic(phi /
+    sqrt(J)), the symmetric form that kinetic_matrix holds."""
+    sj = np.sqrt(g.jac).reshape((-1,) + (1,) * (phi.ndim - 1))
+    return sj * apply_kinetic(g, phi / sj)
 
 
 # --- construction -------------------------------------------------------------
@@ -52,15 +58,13 @@ def test_uniform_rejects_bad_box():
     with pytest.raises(DomainError):
         RadialGrid(r=np.array([1.0, 2.0]), r_lo=0.5, r_hi=3.0,
                    mu=-1.0, kind="uniform", dx=1.0)
-    # every per-node array must match the nodes and be finite and positive,
-    # and so must the step dx
+    # the Jacobian must cover both edges and the nodes between and be
+    # finite and positive, and so must the step dx
     good = dict(r=np.array([1.0, 2.0]), r_lo=0.5, r_hi=3.0,
-                mu=1.0, kind="adaptive", dx=1.0,
-                jac=np.ones(2), jac_full=np.ones(4))
+                mu=1.0, kind="adaptive", dx=1.0, jac_full=np.ones(4))
     RadialGrid(**good)
-    for name, bad in [("jac", np.ones(3)), ("jac_full", np.ones(2)),
-                      ("jac", None), ("jac_full", None),
-                      ("jac", np.array([1.0, -1.0])),
+    for name, bad in [("jac_full", np.ones(2)), ("jac_full", np.ones(3)),
+                      ("jac_full", np.array([1.0, -1.0, 1.0, 1.0])),
                       ("jac_full", np.array([1.0, 1.0, np.inf, 1.0])),
                       ("dx", np.nan), ("dx", 0.0), ("dx", -1.0)]:
         with pytest.raises(DomainError, match=rf"\b{name}\b"):
@@ -72,16 +76,16 @@ def test_adaptive_spacing_criterion():
     beta, e_env = 0.7, 0.002
     g = build_adaptive(_morse, MU, 200, 1.5, 30.0, beta=beta, e_env=e_env)
     k_loc = np.sqrt(2.0 * MU * (e_env - np.minimum(_morse(g.r), _morse(30.0))))
-    assert np.all(g.dr_local <= beta * np.pi / k_loc * (1 + 1e-12))
+    assert np.all(g.w <= beta * np.pi / k_loc * (1 + 1e-12))
 
 
 def test_adaptive_denser_in_the_well():
     g = _adaptive()
-    i_min = np.argmin(g.dr_local)
+    i_min = np.argmin(g.w)
     assert abs(g.r[i_min] - 4.0) < 2.0          # well bottom at re = 4
     # spacing ratio tracks sqrt of the local-momentum ratio:
     # sqrt((e_env + de) / e_env) = sqrt(0.012 / 0.002)
-    ratio = g.dr_local[-1] / g.dr_local[i_min]
+    ratio = g.w[-1] / g.w[i_min]
     assert ratio == pytest.approx(np.sqrt(6.0), rel=0.05)
 
 
@@ -137,7 +141,6 @@ def test_constant_jacobian_matches_uniform():
     # reproduce the uniform spectrum exactly
     flat = lambda r: np.full_like(np.asarray(r, float), -0.01)
     g = build_adaptive(flat, MU, 64, 2.0, 12.0, e_env=-0.005)
-    assert g.jac is not None
     np.testing.assert_allclose(g.jac, 10.0, rtol=1e-12)
     evals = np.linalg.eigvalsh(kinetic_matrix(g))
     m = np.arange(1, 65)
@@ -148,7 +151,7 @@ def test_constant_jacobian_matches_uniform():
 
 def test_kinetic_matrix_symmetric_psd():
     g = _adaptive(n=120)
-    t = apply_kinetic_phi(g, np.eye(g.n))
+    t = _kinetic_phi(g, np.eye(g.n))
     asym = np.max(np.abs(t - t.T)) / np.max(np.abs(t))
     assert asym < 1e-12
     evals = np.linalg.eigvalsh(kinetic_matrix(g))
@@ -165,7 +168,7 @@ def test_kinetic_matrix_closed_form_matches_transforms(refine):
         g = _adaptive(n=120)
         if refine:
             g = _refined(g)
-    t = apply_kinetic_phi(g, np.eye(g.n))
+    t = _kinetic_phi(g, np.eye(g.n))
     ref = 0.5 * (t + t.T)
     tk = kinetic_matrix(g)
     np.testing.assert_allclose(tk, ref, rtol=0,
@@ -258,7 +261,7 @@ def test_mapped_kinetic_matches_four_transform_oracle(which):
     t = kinetic_matrix(g)
     for x in (rng.standard_normal(g.n), block[:, 0], block[:, :3],
               block[:, 1::2]):
-        out = apply_kinetic_phi(g, x)
+        out = _kinetic_phi(g, x)
         assert out.shape == x.shape and out.dtype == x.dtype
         tol = 1e-12 * np.max(np.abs(out))
         np.testing.assert_allclose(out, _four_transform_kinetic(g, x),
@@ -269,8 +272,9 @@ def test_mapped_kinetic_matches_four_transform_oracle(which):
 @pytest.mark.parametrize("which", ["real_n3", "fortran_complex_n2",
                                    "real_vector_n1400"])
 def test_public_kinetic_keeps_its_contract(which):
-    # both public kinetic functions take (n,) and (n, m) input, real or
-    # complex, in any memory order, and return its shape and dtype
+    # the public kinetic function takes (n,) and (n, m) input, real or
+    # complex, in any memory order, and returns its shape and dtype, on
+    # psi and through the phi form alike
     rng = np.random.default_rng(23)
     if which == "real_vector_n1400":
         g = build_grid(reference_system(), 1400, 2.0, 200.0, kind="adaptive")
@@ -284,7 +288,7 @@ def test_public_kinetic_keeps_its_contract(which):
                                   + 1j * rng.standard_normal((g.n, 2)))
     t = kinetic_matrix(g)
     rj = np.sqrt(g.jac).reshape((-1,) + (1,) * (x.ndim - 1))
-    for fn, ref in ((apply_kinetic_phi, t @ x),
+    for fn, ref in ((_kinetic_phi, t @ x),
                     (apply_kinetic, (t @ (rj * x)) / rj)):
         out = fn(g, x)
         assert out.shape == x.shape and out.dtype == x.dtype
@@ -324,7 +328,7 @@ def test_fft_kinetic_matches_closed_form_at_shortest_length(kind, n):
              + 1j * rng.standard_normal((n, 3)))
     for x in (real, block):
         col = sj.reshape((-1,) + (1,) * (x.ndim - 1))
-        for fn, ref in ((apply_kinetic_phi, t @ x),
+        for fn, ref in ((_kinetic_phi, t @ x),
                         (apply_kinetic, (t @ (col * x)) / col)):
             np.testing.assert_allclose(fn(g, x), ref, rtol=0,
                                        atol=1e-12 * np.max(np.abs(ref)))
@@ -332,7 +336,7 @@ def test_fft_kinetic_matches_closed_form_at_shortest_length(kind, n):
     # psi values, a constant folded into the middle row scale
     psi = np.ascontiguousarray(block[:, :2].T)
     ref = 2.5 * (sj * (t @ (sj * psi).T).T)
-    out = _mapped_gram(g, psi, 2.5 * g._convolution[3])
+    out = _mapped_gram(g, psi, 2.5 * g._convolution[2])
     np.testing.assert_allclose(out, ref, rtol=0,
                                atol=1e-12 * np.max(np.abs(ref)))
 

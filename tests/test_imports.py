@@ -56,6 +56,34 @@ def test_every_imported_name_is_used():
     assert not unused, f"imported names never used: {unused}"
 
 
+# module-level names that package code never reads, kept on purpose
+UNCALLED_ALLOWED = {
+    # the closed form test_kinetic_energy_of_momentum_features compares to
+    ("units.py", "kinetic_energy"),
+}
+
+
+def test_every_private_definition_is_used():
+    # a module-level function or class outside coldpa.__all__ must be read
+    # somewhere in the package, or it is a path that nothing takes
+    src = pathlib.Path(coldpa.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(src.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = [f"{name}:{node.lineno} {node.name}"
+            for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in coldpa.__all__ and node.name not in read
+            and (name, node.name) not in UNCALLED_ALLOWED]
+    assert not dead, f"definitions nothing in the package uses: {dead}"
+
+
 def test_every_checked_lapack_routine_has_a_failure_case():
     # each routine spectrum names in a failure message is made to fail once
     src = pathlib.Path(coldpa.__file__).parent / "spectrum.py"

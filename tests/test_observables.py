@@ -6,14 +6,12 @@ import pytest
 from coldpa.errors import DomainError, GridMismatchError
 from coldpa.grids import (MomentumSpectrum, build_grid, build_uniform,
                           gaussian)
-from coldpa.observables import (ThermalYield, bound_fraction,
-                                continuum_fraction, detect_hole,
+from coldpa.observables import (ThermalYield, detect_hole,
                                 find_momentum_peaks, level_populations,
-                                momentum_at_radius, project_levels,
-                                radius_from_momentum, thermal_yield,
-                                _smooth_density)
+                                momentum_at_radius, radius_from_momentum,
+                                thermal_yield, _smooth_density)
 from coldpa.potentials import reference_system
-from coldpa.spectrum import solve_levels
+from coldpa.spectrum import bound_populations, solve_levels
 from coldpa.units import kb_hartree
 
 MU, DE, A, RE = 2000.0, 0.01, 0.8, 4.0
@@ -38,33 +36,34 @@ def well():
 def test_projection_recovers_coefficients(well):
     grid, levels = well
     amp = 0.6 * levels.state(0) + 0.8j * levels.state(3)
-    c = project_levels(grid, amp, levels)
-    assert c[0] == pytest.approx(0.6, abs=1e-10)
-    assert c[3] == pytest.approx(0.8j, abs=1e-10)
-    others = np.delete(c, [0, 3])
-    assert np.max(np.abs(others)) < 1e-10
     pops = level_populations(grid, amp, levels)
     assert pops[0] == pytest.approx(0.36, abs=1e-10)
     assert pops[3] == pytest.approx(0.64, abs=1e-10)
+    others = np.delete(pops, [0, 3])
+    assert np.max(others) < 1e-20
 
 
 def test_projection_rejects_foreign_grid(well):
     grid, levels = well
     other = build_uniform(1.5, 30.0, 255, MU)
     with pytest.raises(GridMismatchError):
-        project_levels(other, np.zeros(other.n), levels)
+        level_populations(other, np.zeros(other.n), levels)
 
 
 def test_bound_and_continuum_fractions(well):
+    # analyze reports the bound fraction and the channel norm minus it
     grid, levels = well
     n_bound = levels.bound().n_levels
     mix = (math.sqrt(0.7) * levels.state(1)
            + math.sqrt(0.3) * levels.state(n_bound + 4))
-    assert bound_fraction(grid, mix, levels) == pytest.approx(0.7, abs=1e-9)
-    assert continuum_fraction(grid, mix, levels) == pytest.approx(0.3,
-                                                                  abs=1e-9)
-    assert continuum_fraction(grid, levels.state(0), levels) == pytest.approx(
-        0.0, abs=1e-10)
+    bound = np.sum(bound_populations(_morse, grid, mix)[1])
+    assert bound == pytest.approx(0.7, abs=1e-9)
+    assert np.sum(np.abs(mix) ** 2 * grid.w) - bound == pytest.approx(
+        0.3, abs=1e-9)
+    ground = levels.state(0)
+    assert (np.sum(np.abs(ground) ** 2 * grid.w)
+            - np.sum(bound_populations(_morse, grid, ground)[1])
+            == pytest.approx(0.0, abs=1e-10))
 
 
 # --- momentum peaks ---------------------------------------------------------------
@@ -216,3 +215,7 @@ def test_hole_requires_depletion():
         detect_hole(grid, before, before, threshold=0.5)
     with pytest.raises(DomainError):
         detect_hole(grid, before, before, threshold=1.5)
+    # a bad width is refused as such, not reported as a run without a hole
+    for width in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="smooth_width"):
+            detect_hole(grid, before, before, smooth_width=width)

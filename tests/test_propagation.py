@@ -11,7 +11,7 @@ from coldpa.grids import TwoChannelState, build_grid, build_uniform, gaussian
 from coldpa.potentials import CoupledSystem, PotentialCurve, PulseEnvelope
 from coldpa import propagation
 from coldpa.propagation import (BLOCK_STEPS, PropagationPlan, TimeSeries,
-                                _Engine, propagate, spectral_bounds, step)
+                                _Engine, propagate)
 from coldpa.spectrum import hamiltonian_matrix
 from coldpa.units import ps2au
 
@@ -47,6 +47,13 @@ def _offset_pair(delta=60 * CM, w=13 * CM, mu=5000.0):
     grid = build_uniform(3.0, 12.0, 64, mu)
     init = TwoChannelState(grid, gaussian(grid, 6.0, 0.44), np.zeros(grid.n))
     return sys_, grid, init
+
+
+def _bounds(sys_, grid):
+    """(e_lo, e_hi, cap) the engine declares under the plan's defaults."""
+    eng = _Engine(sys_, grid, PropagationPlan.cheb_tol,
+                  PropagationPlan.spectral_margin)
+    return eng.e_lo, eng.e_hi, eng.cap
 
 
 def _two_level_reference(env, w, delta, t_eval):
@@ -85,7 +92,7 @@ def test_plan_from_ps():
 
 def test_bounds_contain_coupled_spectrum():
     sys_, grid, _ = _offset_pair()
-    e_lo, e_hi, cap = spectral_bounds(sys_, grid)
+    e_lo, e_hi, cap = _bounds(sys_, grid)
     n = grid.n
     h = np.zeros((2 * n, 2 * n))
     h[:n, :n] = hamiltonian_matrix(
@@ -104,7 +111,7 @@ def test_bounds_contain_coupled_spectrum():
 def test_bounds_contain_coupled_spectrum_on_mapped_grid():
     sys_, _, _ = _offset_pair()
     grid = build_grid(sys_, 120, 3.0, 12.0, kind="adaptive")
-    e_lo, e_hi, cap = spectral_bounds(sys_, grid)
+    e_lo, e_hi, cap = _bounds(sys_, grid)
     n = grid.n
     h = np.zeros((2 * n, 2 * n))
     h[:n, :n] = hamiltonian_matrix(
@@ -125,9 +132,11 @@ def test_free_gaussian_closed_form(n):
     sys_ = _free_system()
     mu, r0, sigma, k0 = 2000.0, 18.0, 0.5, 1.0
     grid = build_uniform(2.0, 40.0, n, mu)
-    st = TwoChannelState(grid, gaussian(grid, r0, sigma, k0), np.zeros(n))
+    eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    psi = np.array([gaussian(grid, r0, sigma, k0), np.zeros(n)])
     for _ in range(4):
-        st = step(sys_, grid, st, 200.0, f=0.0)
+        psi = eng.step(psi, 200.0, 0.0)
+    st = TwoChannelState(grid, *psi, 4 * 200.0)
     a = sigma**2 + 1j * st.t / (2.0 * mu)
     c = grid.r - r0 - k0 * st.t / mu
     ref = ((2.0 * sigma**2 / np.pi) ** 0.25 / np.sqrt(2.0 * a)
@@ -141,17 +150,18 @@ def test_free_gaussian_closed_form(n):
 def test_step_time_reversal():
     sys_, grid, init = _offset_pair()
     dt = 0.05 * ps2au
-    fwd = step(sys_, grid, init, dt, f=0.7)
-    back = step(sys_, grid, fwd, -dt, f=0.7)
-    np.testing.assert_allclose(back.g, init.g, atol=1e-12)
-    np.testing.assert_allclose(back.e, init.e, atol=1e-12)
+    eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    psi = np.array([init.g, init.e])
+    back = eng.step(eng.step(psi, dt, 0.7), -dt, 0.7)
+    np.testing.assert_allclose(back, psi, atol=1e-12)
 
 
-def test_step_rejects_foreign_grid():
+def test_propagate_rejects_foreign_grid():
     sys_, grid, init = _offset_pair()
     other = build_uniform(3.0, 12.0, 65, grid.mu)
+    plan = PropagationPlan.from_ps(t_start=0.0, t_end=1.0)
     with pytest.raises(GridMismatchError):
-        step(sys_, other, init, 10.0)
+        propagate(sys_, other, plan, init)
 
 
 # --- full runs -------------------------------------------------------------------
@@ -362,7 +372,7 @@ def _coupled_h(sys_, grid, cap, f):
 
 def test_measured_bounds_contain_every_envelope_value_and_are_tight():
     sys_, grid, _ = _offset_pair()
-    e_lo, e_hi, cap = spectral_bounds(sys_, grid)
+    e_lo, e_hi, cap = _bounds(sys_, grid)
     for f in (0.0, 0.5, 1.0):
         evals = np.linalg.eigvalsh(_coupled_h(sys_, grid, cap, f))
         assert e_lo < evals[0] and evals[-1] < e_hi

@@ -346,7 +346,7 @@ def _spread_amplitude(grid, bound):
     """A unit complex amplitude over bound levels and the box continuum."""
     mid = 0.5 * (grid.r_lo + grid.r_hi)
     # half the local grid momentum: most of the packet lies in the continuum
-    k0 = 0.5 * np.pi / grid.dr_local[np.searchsorted(grid.r, mid)]
+    k0 = 0.5 * np.pi / grid.w[np.searchsorted(grid.r, mid)]
     amp = gaussian(grid, mid, 0.1 * grid.r_hi, k0=k0)
     top = bound.n_levels - 1
     for v in (0, top // 2, top):

@@ -201,18 +201,15 @@ def cmd_analyze(args, cfg: RunConfig):
     peaks = find_momentum_peaks(spec, k_min=av["k_min"],
                                 floor_sigmas=av["k_floor_sigmas"])
     try:
-        rc = find_crossing(system)
+        radii = radius_from_momentum(system, np.array([p.k for p in peaks]))
     except ColdpaError:
-        rc = None       # then each inversion below fails as it would alone
+        radii = np.full(len(peaks), np.nan)     # no crossing to invert from
     peak_rows = []
-    for p in peaks:
-        try:
-            r0 = radius_from_momentum(system, p.k, rc=rc)
-        except ColdpaError:
-            r0 = None
+    for p, r0 in zip(peaks, radii):
         gap_cm = convert(p.k**2 / (2.0 * system.mu), "hartree", "cm-1")
-        peak_rows.append({"k": p.k, "height": p.height,
-                          "gap_cm": gap_cm, "r_source_bohr": r0})
+        peak_rows.append({"k": p.k, "height": p.height, "gap_cm": gap_cm,
+                          "r_source_bohr": None if np.isnan(r0)
+                          else float(r0)})
     report["momentum_peaks"] = peak_rows
     io.write_csv(os.path.join(out, "momentum_ground.csv"),
                  ["k_au", "abs_amp"],

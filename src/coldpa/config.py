@@ -89,7 +89,7 @@ _SCHEMA = {
         "t_end_ps": (_f, 395.0),
         "dt_ramp_ps": (_f, 0.01),
         "dt_flat_ps": (_f, 0.5),
-        "cheb_tol": (_f, 1e-14),
+        "cheb_tol": (_f, 1e-14),         # Chebyshev and Lanczos series
         "spectral_margin": (_f, 0.05),
         "v_cap_cm": (_f, None),
         "snapshots_ps": (_floats, ()),

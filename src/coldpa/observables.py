@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NumericsError
 from .grids import _BLOCK, MomentumSpectrum, RadialGrid, ensure_same_grid
@@ -16,6 +15,7 @@ from .spectrum import LevelSet
 from .units import convert, kb_hartree
 
 RADIUS_CHECK_CM = 0.5       # gap residual radius_from_momentum allows, cm-1
+RADIUS_XTOL = 1e-10        # bohr, bracket width radius_from_momentum ends at
 HOLE_SUPPORT_FLOOR = 1e-3   # share of max rho below which detect_hole skips
 
 
@@ -74,37 +74,53 @@ def momentum_at_radius(sys: CoupledSystem, r) -> np.ndarray:
     return np.sqrt(2.0 * sys.mu * gap)
 
 
-def radius_from_momentum(sys: CoupledSystem, k: float,
-                         rc: float = None) -> float:
+def radius_from_momentum(sys: CoupledSystem, k, rc: float = None):
     """Invert k = sqrt(2 mu (Ve - Vg)) on the outer branch r > r_crossing.
 
     The gap grows monotonically toward its asymptotic value out there, so
-    the root is unique when it exists. The returned radius is verified by
-    a forward evaluation to within ``RADIUS_CHECK_CM`` wavenumbers. rc is
-    the outermost crossing, located by ``find_crossing`` when not given;
-    pass it to invert many momenta of one system.
+    the root is unique when it exists. k is one momentum or an array of
+    them; every one is inverted by the same vectorised bisection on the
+    branch, a fixed number of halvings down to ``RADIUS_XTOL``, so each
+    root depends on its own k alone. The radius is verified by a forward
+    evaluation to within ``RADIUS_CHECK_CM`` wavenumbers. A scalar k
+    returns a float, and raises DomainError when it maps outside the branch
+    and NumericsError when the check fails; an array returns NaN for those
+    entries. rc is the outermost crossing, located by ``find_crossing``
+    when not given.
     """
     from .potentials import find_crossing
 
-    e_target = float(k) ** 2 / (2.0 * sys.mu)
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
+    e_target = ks ** 2 / (2.0 * sys.mu)
     if rc is None:
         rc = find_crossing(sys)
-    r_hi = sys.working_range[1]
-    gap = lambda r: (sys.excited.value(r) - sys.ground.value(r)) - e_target
-    lo = rc * (1.0 + 1e-6)
-    if gap(lo) > 0.0 or gap(r_hi) < 0.0:
+    lo, r_hi = rc * (1.0 + 1e-6), sys.working_range[1]
+
+    def gap(r):
+        return (sys.excited.value(r) - sys.ground.value(r)) - e_target
+
+    a, b = np.full(ks.shape, lo), np.full(ks.shape, r_hi)
+    inside = (gap(a) <= 0.0) & (gap(b) >= 0.0)
+    for _ in range(math.ceil(math.log2((r_hi - lo) / RADIUS_XTOL))):
+        mid = 0.5 * (a + b)
+        above = gap(mid) > 0.0
+        a, b = np.where(above, a, mid), np.where(above, mid, b)
+    r = 0.5 * (a + b)
+    err_cm = np.abs(convert(gap(r), "hartree", "cm-1"))
+    checked = err_cm <= RADIUS_CHECK_CM
+    if np.ndim(k):
+        return np.where(inside & checked, r, np.nan)
+    if not inside[0]:
         raise DomainError(
-            f"momentum {k:.4f} maps outside the outer branch "
+            f"momentum {float(k):.4f} maps outside the outer branch "
             f"({lo:.2f}, {r_hi:.2f})"
         )
-    r = brentq(gap, lo, r_hi, xtol=1e-10)
-    err_cm = abs(convert(gap(r), "hartree", "cm-1"))
-    if err_cm > RADIUS_CHECK_CM:
+    if not checked[0]:
         raise NumericsError(
-            f"radius inversion check failed: residual {err_cm:.3f} exceeds "
-            f"{RADIUS_CHECK_CM} in wavenumbers"
+            f"radius inversion check failed: residual {err_cm[0]:.3f} "
+            f"exceeds {RADIUS_CHECK_CM} in wavenumbers"
         )
-    return float(r)
+    return float(r[0])
 
 
 # ---------------------------------------------------------------------------

@@ -102,3 +102,18 @@ def test_every_checked_lapack_routine_has_a_failure_case():
     missing = sorted(checked - cases)
     assert checked and not missing, (
         f"LAPACK routines with no failure case: {missing}")
+
+
+def test_propagation_has_one_lanczos():
+    # the propagator's own Lanczos serves both its exponentials and its
+    # spectral top, so it takes nothing from scipy.sparse.linalg (ARPACK)
+    src = pathlib.Path(coldpa.__file__).parent / "propagation.py"
+    found = []
+    for node in ast.walk(ast.parse(src.read_text(), str(src))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.append(node.module)
+    assert "scipy" in {name.partition(".")[0] for name in found}
+    assert not [name for name in found
+                if name.startswith("scipy.sparse.linalg")], found

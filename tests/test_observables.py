@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from coldpa.errors import DomainError, GridMismatchError
 from coldpa.grids import (MomentumSpectrum, build_grid, build_uniform,
@@ -10,7 +11,7 @@ from coldpa.observables import (ThermalYield, detect_hole,
                                 find_momentum_peaks, level_populations,
                                 momentum_at_radius, radius_from_momentum,
                                 thermal_yield, _smooth_density)
-from coldpa.potentials import reference_system
+from coldpa.potentials import find_crossing, reference_system
 from coldpa.spectrum import bound_populations, solve_levels
 from coldpa.units import kb_hartree
 
@@ -123,6 +124,27 @@ def test_momentum_at_radius_vectorized(analog):
     k = momentum_at_radius(analog, r)
     assert k.shape == (3,)
     assert np.all(np.diff(k) > 0)       # gap grows outward past the crossing
+
+
+def test_momentum_inversion_of_many_peaks_at_once(analog):
+    # one vectorised bisection for every peak matches a scalar brentq on
+    # the outer branch; a peak off the branch is NaN in the array and
+    # raises alone
+    rc = find_crossing(analog)
+    k_in = momentum_at_radius(analog, np.array([31.0, 43.6, 68.4, 150.0]))
+    k = np.concatenate([k_in, [20.0, 0.0]])
+    radii = radius_from_momentum(analog, k, rc=rc)
+    assert radii.shape == (6,) and np.isnan(radii[4:]).all()
+    for kk, r in zip(k_in, radii):
+        e_target = kk ** 2 / (2.0 * analog.mu)
+        ref = brentq(lambda x: analog.excited.value(x)
+                     - analog.ground.value(x) - e_target,
+                     rc * (1.0 + 1e-6), analog.working_range[1], xtol=1e-10)
+        assert abs(r - ref) <= 1e-9
+        assert radius_from_momentum(analog, kk, rc=rc) == r
+    for kk in k[4:]:
+        with pytest.raises(DomainError, match="outside the outer branch"):
+            radius_from_momentum(analog, kk, rc=rc)
 
 
 def test_momentum_inversion_domain_errors(analog):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -573,3 +574,78 @@ def test_constant_interval_conserves_energy(path, f):
     drift = max(abs(energy(psi) - e0)
                 for psi in eng.steps(pair, dt, np.full(n_steps, f), True))
     assert drift <= n_steps * 1e-14 * eng.half_span
+
+
+# --- Lanczos exponentials on FFT-path ramps ---------------------------------------
+
+@pytest.mark.parametrize("f", [0.5, 1.0])
+def test_fft_ramp_step_matches_exact_propagator(f):
+    # one Lanczos ramp step against exp(-i H dt) from eigh of the capped
+    # coupled H, as the Chebyshev step is checked above
+    sys_, grid, pair = _adaptive_300()
+    eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    dt = 0.002 * ps2au
+    evals, vecs = np.linalg.eigh(_coupled_h(sys_, grid, eng.cap, f))
+    rj = np.sqrt(grid.jac)
+    out = vecs @ (np.exp(-1j * evals * dt) * (vecs.T @ (pair * rj).ravel()))
+    (got,) = eng.steps(pair, dt, np.array([f]), const=False)
+    np.testing.assert_allclose(got, out.reshape(2, grid.n) / rj, rtol=0,
+                               atol=1e-11)
+
+
+def test_lanczos_ramp_steps_track_chebyshev_steps():
+    # 500 steps of a sin^2 ramp: unitary to rounding, within 1e-11 of the
+    # one-expansion Chebyshev steps, and each on fewer applications
+    sys_, grid, pair = _adaptive_300()
+    dt = 0.0001 * ps2au
+    f_mid = np.sin(0.5 * np.pi * (np.arange(500) + 0.5) / 500) ** 2
+    ramp = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    chain = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+
+    def norm(psi):
+        return np.sqrt(np.sum(np.abs(psi) ** 2 * grid.w))
+
+    psi = pair = pair / norm(pair)
+    for f, got in zip(f_mid, ramp.steps(pair, dt, f_mid, const=False)):
+        psi = chain.step(psi, dt, f)
+        assert abs(norm(got) - 1.0) <= 1e-12
+    np.testing.assert_allclose(got, psi, rtol=0, atol=1e-11)
+    assert sum(ramp.order_counts.values()) == 500
+    assert max(ramp.order_counts) < chain.max_order
+    assert ramp.matvecs < chain.matvecs
+
+
+def test_fft_counters_repeat_exactly():
+    # the Lanczos top and the Lanczos ramp steps take the same applications
+    # in two identical runs
+    sys_, grid, pair = _adaptive_300()
+    pair /= np.sqrt(np.sum(np.abs(pair) ** 2 * grid.w))
+    init = TwoChannelState(grid, pair[0], pair[1])
+    plan = PropagationPlan.from_ps(t_start=1.99, t_end=2.01, dt_ramp=0.001,
+                                   dt_flat=0.001)
+    metas = [propagate(sys_, grid, plan, init).meta for _ in range(2)]
+    for key in ("order_counts", "bound_matvecs", "lambda_max", "matvecs"):
+        assert metas[0][key] == metas[1][key]
+    assert metas[0]["bound_matvecs"] > 0
+
+
+def test_exact_path_holds_at_most_three_matrices():
+    # beyond the engine's own h_dense, the exact path at the largest dense
+    # n holds the copy it decomposes in place and LAPACK's workspace (two
+    # matrices), having released the scaled operator of the ramp before it
+    sys_, _, _ = _offset_pair()
+    grid = build_uniform(3.0, 12.0, 256, 5000.0)
+    pair = np.stack([gaussian(grid, 6.0, 0.44),
+                     np.zeros(grid.n)]).astype(complex)
+    eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    tracemalloc.start()
+    try:
+        list(eng.steps(pair, 0.001 * ps2au, np.ones(3), const=False))
+        assert eng._op is not None
+        tracemalloc.reset_peak()
+        list(eng.steps(pair, 0.02 * ps2au, np.ones(3), const=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eng.eigensolves == 1
+    assert peak <= 3.1 * (2 * grid.n) ** 2 * 8

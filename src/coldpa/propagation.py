@@ -21,10 +21,16 @@ one pre-scaled operator. Grids of up to 256 points take the dense path:
 the operator is one real symmetric 2n x 2n matrix in the phi = sqrt(J) psi
 representation, block-diagonal in the channels with the coupling at
 (i, i + n), and each term is one matmul on the real (2n, 2) [re, im] view
-of the phi block. There a ramp takes one Chebyshev expansion per step, and
-a constant interval is propagated exactly: H(f) at its envelope value f is
-decomposed once, and reused while f is unchanged; each step multiplies by
-exp(-i E dt) (Kosloff, Annu. Rev. Phys. Chem. 45, 145 (1994)).
+of the phi block. There a ramp takes one Chebyshev expansion per step, all
+steps of a ramp interval from one set of constants (its dt fixes the
+coefficients, the order and the phase; a step rewrites only the 2n
+coupling entries), each term one matmul into its slot of one term buffer
+kept on the engine and one subtraction, and a series of up to 64 terms
+folded once. A constant interval is propagated exactly: H(f) at its
+envelope value f is decomposed once, and reused while f is unchanged; the
+state after j steps is V exp(-i E j dt) V^T phi (Kosloff, Annu. Rev. Phys.
+Chem. 45, 145 (1994)), taken in blocks of up to ``BLOCK_STEPS`` steps, one
+GEMM each.
 Larger grids apply the operator to the psi block itself: the kinetic
 energy as two complex-FFT convolutions against the real cot table, each
 its Toeplitz and Hankel halves on one transform pair at a 5-smooth length
@@ -123,9 +129,11 @@ class PropagationPlan:
 _SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 # most steps of a constant interval on the FFT path taken from one expansion
 BLOCK_STEPS = 16
-# Chebyshev terms held between two folds into the accumulators; even, so
-# that slot k % _FOLD has the parity of term k
+# Chebyshev terms held between two folds into the accumulators, on the FFT
+# path and on the dense path, where a whole ramp series of the usual order
+# fits; even, so that slot k of a fold has the parity of its term k
 _FOLD = 8
+_DENSE_FOLD = 64
 # relative residual at which the Lanczos top of the spectrum is accepted
 _TOP_TOL = 1e-6
 
@@ -155,12 +163,20 @@ class _Engine:
         self.sqrt_j = np.sqrt(grid.jac)
         self.w_peak = sys.coupling
         # dense kinetic matvec wins below a few hundred points; there
-        # H = diag(T + V_g, T + V_e) from one kinetic matrix T
-        self.h_dense = (block_diag(*[kinetic_matrix(grid)] * 2)
-                        + np.diag(self.v.ravel()) if grid.n <= 256 else None)
+        # H = diag(T + V_g, T + V_e) from one kinetic matrix T, with V
+        # added to the diagonal of the one 2n x 2n array in place
+        self.h_dense = None
+        if grid.n <= 256:
+            n = grid.n
+            self.h_dense = block_diag(*[kinetic_matrix(grid)] * 2)
+            self.h_dense.reshape(-1)[::2 * n + 1] += self.v.ravel()
+            # flat indices of the coupling entries (i, i + n), (i + n, i)
+            i = np.arange(n)
+            self._coupling_at = np.concatenate([i * (2 * n + 1) + n,
+                                                i * (2 * n + 1) + 2 * n * n])
         self._op, self._op_key = None, None
+        self._terms = None        # the term buffer, see _buffer
         self._eigen, self._eigen_f = None, None
-        self._coef_cache: dict[tuple[float, int], np.ndarray] = {}
         self.bound_matvecs = 0
         self.kinetic_s = 0.0      # _top's FFT applications add to it
         self._krylov_m = 1        # the last Lanczos exponential's m
@@ -195,8 +211,8 @@ class _Engine:
         real symmetric 2n x 2n phi-representation matrix, block-diagonal in
         the channels, the coupling w_eff scale at (i, i + n) and (i + n, i);
         it acts on a channel-major phi = sqrt(J) psi block, as a 2n vector
-        or its real (2n, 2) [re, im] view. A new w_eff rewrites only those
-        2n entries.
+        or its real (2n, 2) [re, im] view. Each call rewrites only those 2n
+        entries, through their precomputed flat indices.
 
         FFT path: apply(x, out) writes it for a channel-major (2, n) block x
         of psi values, real or complex. The kinetic part is
@@ -218,10 +234,8 @@ class _Engine:
                             (self.v - shift) * scale)
             self._op_key = key
         if dense:
-            n, m = self.grid.n, self._op
-            np.fill_diagonal(m[:n, n:], w_eff * scale)
-            np.fill_diagonal(m[n:, :n], w_eff * scale)
-            return partial(np.matmul, m)
+            self._op.reshape(-1)[self._coupling_at] = w_eff * scale
+            return partial(np.matmul, self._op)
         row, diag = self._op
         inv_j, ws = self.grid._convolution[1], w_eff * scale
 
@@ -366,9 +380,6 @@ class _Engine:
         """Real b_k of the series c_k = 2 J_k(j alpha) (-i)^k (c_0 halved)
         for j = 1..m, one row each: c_k = b_k for even k and i b_k for odd
         k. All rows stop at the order of the last, the largest j alpha."""
-        coefs = self._coef_cache.get((alpha, m))
-        if coefs is not None:
-            return coefs
         top = m * alpha
         cap = int(10.0 * abs(top)) + 100
         raw = jv(np.arange(cap + 1), top)
@@ -384,95 +395,128 @@ class _Engine:
         coefs[:-1] = jv(k, alpha * np.arange(1, m)[:, None])
         coefs *= _SIGNS[k % 4]
         coefs[:, 1:] *= 2.0
-        self._coef_cache[(alpha, m)] = coefs
         return coefs
 
-    def _series(self, psi: np.ndarray, dt: float, f: float,
-                m: int = 1) -> np.ndarray:
-        """The (m, 2, n) states exp(-i H(f) j dt) psi, j = 1..m, of a
-        channel-major (2, n) block from one expansion:
+    def _buffer(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """The term buffer, kept on the engine from call to call: its slot
+        views, and its two halves as real (slots / 2, size) matrices.
+        Slot k sits in half k % 2, so the terms of one parity are
+        contiguous rows. A slot is the real (2n, 2) [re, im] view of a phi
+        block on the dense path, a complex (2, n) psi block on the FFT
+        path; the buffer holds ``_DENSE_FOLD`` and ``_FOLD`` slots
+        there."""
+        if self._terms is None:
+            dense = self.h_dense is not None
+            shape = (2 * self.grid.n, 2) if dense else (2, self.grid.n)
+            size = _DENSE_FOLD if dense else _FOLD
+            ring = np.empty((2, size // 2) + shape,
+                            dtype=float if dense else complex)
+            self._terms = ([ring[k % 2, k // 2] for k in range(size)],
+                           ring.view(float).reshape(2, size // 2, -1))
+        return self._terms
+
+    def _series(self, dt: float, m: int = 1):
+        """run(psi, f): the (m, 2, n) states exp(-i H(f) j dt) psi,
+        j = 1..m, of a channel-major (2, n) block from one expansion:
         e^{-i e_mid j dt} sum_k c_k(j alpha) T_k(A) psi, with
         A = (H - e_mid) / half_span, alpha = half_span dt and apply2a the
-        :meth:`_operator` at (e_mid, 2 / half_span). The dense path runs
-        it on the real (2n, 2) [re, im] view of phi = sqrt(J) psi. The
-        expansion goes to order_counts, its wall time to series_s.
+        :meth:`_operator` at (e_mid, 2 / half_span). What dt and m fix is
+        taken here once: the coefficient rows, their order and the phases.
+        A run sets only the coupling of its f, so the steps of one ramp
+        interval share it. The dense path runs it on the real (2n, 2)
+        [re, im] view of phi = sqrt(J) psi. Each run goes to order_counts,
+        the wall time to series_s.
 
-        The terms T_k(A) psi go into a ring of ``_FOLD`` slots. A is real,
-        so each time the ring fills, its even terms (real c_k) and its odd
-        ones (imaginary c_k) fold into two real (m, .) accumulators, one
-        GEMM each on the slots' [re, im] view, so the m states cost a few
-        flops per term and element rather than m passes; the result
-        combines them once.
+        Each term is one application of apply2a into its slot of
+        :meth:`_buffer` and one in-place subtraction. A is real, so each
+        time the buffer fills, and after the last term, its even terms
+        (real c_k) and its odd ones (imaginary c_k) fold into two real
+        (m, .) accumulators, one GEMM each on the slots' [re, im] view, so
+        the m states cost a few flops per term and element rather than m
+        passes; the result combines them once.
         """
         t0 = time.perf_counter()
-        psi = np.ascontiguousarray(psi, dtype=complex)
-        apply2a = self._operator(self.w_peak * f, self.e_mid,
-                                 2.0 / self.half_span)
-        dense = self.h_dense is not None
-        x = (psi * self.sqrt_j).view(float).reshape(-1, 2) if dense else psi
         coefs = self._coefficients(self.half_span * dt, m)
         order = coefs.shape[1] - 1
-        even, odd = coefs[:, 0::2], coefs[:, 1::2]
-        guard = 100.0 * float(np.max(np.abs(x))) + 1e-300
-        # term k sits in slot k % _FOLD, in half k % 2 of the ring, so the
-        # terms of one parity are contiguous rows of a real matrix
-        ring = np.empty((2, _FOLD // 2) + x.shape, dtype=x.dtype)
-        flat = ring.view(float).reshape(2, _FOLD // 2, -1)
-        slots = [ring[i % 2, i // 2] for i in range(_FOLD)]
-        acc = np.zeros((2, m, flat.shape[2]))
-        for k in range(order + 1):
-            # T_0 = psi, T_1 = A T_0, T_k = 2 A T_(k-1) - T_(k-2)
-            nxt = slots[k % _FOLD]
-            if k == 0:
-                nxt[...] = x
-            else:
-                apply2a(slots[(k - 1) % _FOLD], out=nxt)
-                if k == 1:
-                    nxt *= 0.5
-                else:
-                    nxt -= slots[(k - 2) % _FOLD]
-            if k % _FOLD != _FOLD - 1 and k != order:
-                continue
-            # acc[p] += c_p T_p over the ring's terms of parity p, as one
-            # in-place GEMM on the transposed (Fortran-ordered) arrays
-            j, used = (k - k % _FOLD) // 2, k % _FOLD + 1
-            for parity, c in enumerate((even, odd)):
-                rows = (used - parity + 1) // 2
-                if rows:
-                    dgemm(1.0, flat[parity, :rows].T, c[:, j:j + rows].T,
-                          beta=1.0, c=acc[parity].T, overwrite_c=1)
-            if np.abs(nxt).max() > guard:
-                raise SpectralBoundsError(
-                    "Chebyshev recurrence is growing: the Hamiltonian "
-                    "spectrum leaves the declared bounds; re-estimate "
-                    "them (raise the margin or the potential cap)"
-                )
-        self.order_counts[order] = self.order_counts.get(order, 0) + 1
-        out = acc[0].view(complex) + 1j * acc[1].view(complex)
-        out *= np.exp(-1j * self.e_mid * dt * np.arange(1, m + 1))[:, None]
-        out = out.reshape((m,) + psi.shape)
+        dense = self.h_dense is not None
+        slots, halves = self._buffer()
+        # per fold: its slots in use, and the coefficients of its even and
+        # odd terms as Fortran-ordered (rows, m) blocks, which dgemm takes
+        # without a copy
+        folds = []
+        for k0 in range(0, order + 1, len(slots)):
+            used = min(len(slots), order + 1 - k0)
+            folds.append((used, [np.ascontiguousarray(
+                coefs[:, k0 + p:k0 + used:2]).T for p in (0, 1)]))
+        phase = np.exp(-1j * self.e_mid * dt * np.arange(1, m + 1))[:, None]
         if dense:
-            out /= self.sqrt_j
+            phase = phase / np.tile(self.sqrt_j, 2)     # phi back to psi
         self.series_s += time.perf_counter() - t0
-        return out
+
+        def run(psi: np.ndarray, f: float) -> np.ndarray:
+            t0 = time.perf_counter()
+            apply2a = self._operator(self.w_peak * f, self.e_mid,
+                                     2.0 / self.half_span)
+            x = slots[0]
+            if dense:
+                np.multiply(psi, self.sqrt_j,
+                            out=x.view(complex).reshape(psi.shape))
+            else:
+                x[...] = psi
+            guard = 100.0 * float(np.abs(x).max()) + 1e-300
+            acc = np.zeros((2, m, halves.shape[2]))
+            # T_0 = psi, T_1 = A T_0, T_k = 2 A T_(k-1) - T_(k-2)
+            prev2 = prev = x
+            if order:
+                prev = slots[1]
+                apply2a(x, out=prev)
+                prev *= 0.5
+            for i, (used, blocks) in enumerate(folds):
+                for nxt in slots[0 if i else 2:used]:
+                    apply2a(prev, out=nxt)
+                    nxt -= prev2
+                    prev2, prev = prev, nxt
+                # acc[p] += c_p T_p over the fold's terms of parity p, as
+                # one in-place GEMM on the transposed (Fortran) arrays
+                for half, coef, a in zip(halves, blocks, acc):
+                    if len(coef):
+                        dgemm(1.0, half[:len(coef)].T, coef, beta=1.0,
+                              c=a.T, overwrite_c=1)
+                # NaN fails the comparison as well as growth does
+                if not np.abs(prev).max() <= guard:
+                    raise SpectralBoundsError(
+                        "Chebyshev recurrence is growing or not finite: "
+                        "the Hamiltonian spectrum leaves the declared "
+                        "bounds; re-estimate them (raise the margin or the "
+                        "potential cap)")
+            self.order_counts[order] = self.order_counts.get(order, 0) + 1
+            out = acc[1].view(complex) * 1j
+            out += acc[0].view(complex)
+            out *= phase
+            self.series_s += time.perf_counter() - t0
+            return out.reshape((m,) + psi.shape)
+
+        return run
 
     def step(self, psi: np.ndarray, dt: float, f_mid: float) -> np.ndarray:
         """exp(-i H(f_mid) dt) applied to a channel-major (2, n) block."""
-        return self._series(psi, dt, f_mid)[0]
+        return self._series(dt)(psi, f_mid)[0]
 
     def steps(self, psi: np.ndarray, dt: float, f_mid: np.ndarray,
               const: bool):
         """Yield the (2, n) state after each step of an interval with
         envelope values f_mid at the step midpoints. A ramp takes one
-        expansion per step: Chebyshev on the dense path, Lanczos
-        (:meth:`_krylov`) on the FFT path. A constant interval takes one
-        Chebyshev expansion per block of up to ``BLOCK_STEPS`` steps on the
-        FFT path; on the dense path it is exact: the coupled phi-H(f),
-        ``h_dense`` with W f on its two coupling diagonals, is decomposed
-        as V diag(E) V^T, and each step is c = V^T phi,
-        phi = V exp(-i E dt) c. The decomposition is kept while f is
-        unchanged, so snapshots that split a constant interval add no
-        eigensolve."""
+        expansion per step: Chebyshev on the dense path, all from one
+        :meth:`_series`, and Lanczos (:meth:`_krylov`) on the FFT path. A
+        constant interval takes one Chebyshev expansion per block of up to
+        ``BLOCK_STEPS`` steps on the FFT path; on the dense path it is
+        exact: the coupled phi-H(f), ``h_dense`` with W f on its two
+        coupling diagonals, is decomposed as V diag(E) V^T, and with
+        c = V^T phi the state after j steps is phi_j = V exp(-i E j dt) c,
+        taken in blocks of up to ``BLOCK_STEPS`` steps: one GEMM of V
+        against the block's phased columns of c. The decomposition is kept
+        while f is unchanged, so snapshots that split a constant interval
+        add no eigensolve."""
         if not const and self.h_dense is None:
             for f in f_mid:
                 psi = self._krylov(psi, dt, f)
@@ -480,20 +524,22 @@ class _Engine:
             return
         if not const or self.h_dense is None:
             block = BLOCK_STEPS if const else 1
+            runs = {}
             for i in range(0, len(f_mid), block):
-                states = self._series(psi, dt, f_mid[i],
-                                      min(block, len(f_mid) - i))
+                m = min(block, len(f_mid) - i)
+                if m not in runs:
+                    runs[m] = self._series(dt, m)
+                states = runs[m](psi, f_mid[i])
                 yield from states
                 psi = states[-1]
             return
         f = f_mid[0]
         if self._eigen_f != f:
             # freed before the next decomposition: the last one, and the
-            # scaled operator (rebuilt by the next ramp)
-            self._eigen = self._op = self._op_key = None
-            n, h = self.grid.n, self.h_dense.copy()
-            np.fill_diagonal(h[:n, n:], self.w_peak * f)
-            np.fill_diagonal(h[n:, :n], self.w_peak * f)
+            # scaled operator and the term buffer (rebuilt by the next ramp)
+            self._eigen = self._op = self._op_key = self._terms = None
+            h = self.h_dense.copy()
+            h.reshape(-1)[self._coupling_at] = self.w_peak * f
             # in place on the Fortran view of the symmetric copy: the LAPACK
             # routine (dsyevd) that numpy.linalg.eigh runs, without its copy
             e, v = eigh(h.T, overwrite_a=True, check_finite=False,
@@ -507,15 +553,21 @@ class _Engine:
             v /= np.tile(self.sqrt_j, 2)[:, None]   # so that V c is psi
             self._eigen, self._eigen_f = (e, v), f
         e, v = self._eigen
-        phase = np.exp(-1j * e * dt)
         # c = V^T phi, with V now divided by sqrt(J) and phi = sqrt(J) psi
         jpsi = np.ascontiguousarray(psi, dtype=complex) * self.grid.jac
         c = (v.T @ jpsi.view(float).reshape(-1, 2)).view(complex)[:, 0]
-        for _ in f_mid:
-            c *= phase
-            # a C-ordered real (2n, 2) [re, im] array is a complex 2n vector
-            psi = (v @ c.view(float).reshape(-1, 2)).view(complex)
-            yield psi.reshape(jpsi.shape)
+        # exp(-i E j dt), j = 1..BLOCK_STEPS, as one outer product
+        table = np.exp(np.outer(e, -1j * dt * np.arange(
+            1, min(BLOCK_STEPS, len(f_mid)) + 1)))
+        for j0 in range(0, len(f_mid), BLOCK_STEPS):
+            b = min(BLOCK_STEPS, len(f_mid) - j0)
+            # column j is c exp(-i E (j0 + j) dt); a C-ordered complex
+            # (2n, b) array is a real (2n, 2b) one, so V takes them in one
+            # real GEMM
+            cols = table[:, :b] * (c * np.exp(-1j * dt * j0 * e))[:, None]
+            states = (v @ cols.view(float)).view(complex).T
+            yield from np.ascontiguousarray(states).reshape(
+                (b,) + jpsi.shape)
 
 
 # TimeSeries.meta entries that are wall-clock seconds, so differ between
@@ -575,10 +627,14 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
     on them).
     """
     ensure_same_grid(grid, initial.grid)
-    if abs(initial.norm() - 1.0) > 1e-6:
-        raise DomainError(
-            f"initial state norm {initial.norm():.8f} is not 1"
-        )
+    for name, amp in (("ground", initial.g), ("excited", initial.e)):
+        bad = np.flatnonzero(~np.isfinite(amp))
+        if len(bad):
+            raise DomainError(f"initial {name} amplitude is {amp[bad[0]]} "
+                              f"at node {bad[0]}")
+    norm = initial.norm()
+    if not abs(norm - 1.0) <= 1e-6:
+        raise DomainError(f"initial state norm {norm:.8f} is not 1")
     eng = _Engine(sys, grid, plan.cheb_tol, plan.spectral_margin, plan.v_cap)
     psi = np.array([initial.g, initial.e], dtype=complex)
     t = plan.t_start

@@ -229,6 +229,20 @@ def test_propagate_validates_initial():
         propagate(sys_, grid, plan, bad)
 
 
+@pytest.mark.parametrize("channel", ["ground", "excited"])
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
+def test_propagate_refuses_a_non_finite_initial_state(channel, fill):
+    # NaN fails every comparison, so a norm check alone would pass it
+    sys_, grid, init = _offset_pair()
+    plan = PropagationPlan.from_ps(t_start=0.0, t_end=1.0)
+    amp = {"ground": init.g.copy(), "excited": init.e.copy()}
+    amp[channel][7] = fill
+    bad = TwoChannelState(grid, amp["ground"], amp["excited"])
+    with pytest.raises(DomainError, match=re.escape(
+            f"initial {channel} amplitude is {complex(fill)} at node 7")):
+        propagate(sys_, grid, plan, bad)
+
+
 def test_empty_series_has_no_final():
     ts = TimeSeries(t=np.zeros(1), pop_g=np.ones(1), pop_e=np.zeros(1),
                     norm=np.ones(1), snapshots=[], grid=None)
@@ -256,6 +270,33 @@ def test_runaway_recurrence_is_caught_on_fft_path():
     eng.half_span *= 0.15
     with pytest.raises(SpectralBoundsError):
         eng.step(pair, 60.0 / eng.half_span, 1.0)
+
+
+@pytest.mark.parametrize("n", [64, 300])      # dense and transform kernels
+def test_non_finite_term_is_caught(monkeypatch, n):
+    # one NaN out of the operator makes every later term NaN, which no
+    # growth test (max > guard) sees
+    sys_, _, _ = _offset_pair()
+    grid = build_uniform(3.0, 12.0, n, 5000.0)
+    eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    assert (eng.h_dense is None) == (n > 256)
+    operator = eng._operator
+
+    def poisoned(*args):
+        apply2a = operator(*args)
+
+        def apply(x, out):
+            apply2a(x, out=out)
+            out.flat[3] = np.nan
+            return out
+
+        return apply
+
+    monkeypatch.setattr(eng, "_operator", poisoned)
+    pair = np.stack([gaussian(grid, 6.0, 0.44),
+                     np.zeros(grid.n)]).astype(complex)
+    with pytest.raises(SpectralBoundsError, match="not finite"):
+        eng.step(pair, 0.005 * ps2au, 1.0)
 
 
 # --- exact propagation of constant intervals on the dense path ------------------
@@ -649,3 +690,52 @@ def test_exact_path_holds_at_most_three_matrices():
         tracemalloc.stop()
     assert eng.eigensolves == 1
     assert peak <= 3.1 * (2 * grid.n) ** 2 * 8
+
+
+# --- the dense path: one term buffer per ramp interval, exact blocks ----------------
+
+def _eigen_propagator(sys_, grid, cap, f, pair):
+    """phi -> V exp(-i E t) V^T phi of the capped coupled H(f), as a map of
+    channel-major psi blocks and times."""
+    evals, vecs = np.linalg.eigh(_coupled_h(sys_, grid, cap, f))
+    rj = np.sqrt(grid.jac)
+    c = vecs.T @ (pair * rj).ravel()
+    return lambda t: (vecs @ (np.exp(-1j * evals * t) * c)).reshape(
+        2, grid.n) / rj
+
+
+def test_dense_ramp_beyond_the_term_buffer_matches_exact_propagator():
+    # a step long enough that its series folds the term buffer three
+    # times; two steps at different f share the interval's expansion
+    sys_, grid, _ = _offset_pair()
+    pair = np.stack([gaussian(grid, 6.0, 0.44),
+                     0.5 * gaussian(grid, 6.5, 0.6)]).astype(complex)
+    eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    assert eng.h_dense is not None
+    dt = 0.05 * ps2au
+    got = list(eng.steps(pair, dt, np.array([0.3, 0.8]), const=False))
+    assert eng.order_counts.keys() == {eng.max_order}
+    assert eng.max_order > 2 * propagation._DENSE_FOLD
+    ref = pair
+    for f, state in zip((0.3, 0.8), got):
+        ref = _eigen_propagator(sys_, grid, eng.cap, f, ref)(dt)
+        np.testing.assert_allclose(state, ref, rtol=0, atol=1e-12)
+
+
+def test_exact_blocks_match_the_eigenbasis_across_a_split():
+    # a constant interval of three blocks and more, split by a snapshot
+    # into two calls: every step edge is V exp(-i E j dt) V^T phi with j
+    # counted from the interval's start, from one decomposition
+    sys_, grid, _ = _offset_pair()
+    pair = np.stack([gaussian(grid, 6.0, 0.44),
+                     0.5 * gaussian(grid, 6.5, 0.6)]).astype(complex)
+    eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    dt = 0.02 * ps2au
+    first = list(eng.steps(pair, dt, np.ones(BLOCK_STEPS + 3), const=True))
+    second = list(eng.steps(first[-1], dt, np.ones(2 * BLOCK_STEPS + 5),
+                            const=True))
+    assert eng.eigensolves == 1
+    exact = _eigen_propagator(sys_, grid, eng.cap, 1.0, pair)
+    for j, state in enumerate(first + second, start=1):
+        assert state.shape == (2, grid.n) and state.flags.c_contiguous
+        np.testing.assert_allclose(state, exact(j * dt), rtol=0, atol=1e-12)

@@ -205,6 +205,16 @@ class RunConfig:
             raise ConfigError(
                 f"analysis.hole_smooth must be > 0 bohr, "
                 f"got {self['analysis.hole_smooth']}")
+        # the thermal chain would refuse these, but only at the end of
+        # analyze, after both eigensolves and two of its files
+        for key in ("temperature_mk", "volume_cm3", "n_atoms"):
+            if self[f"analysis.{key}"] <= 0.0:
+                raise ConfigError(f"analysis.{key} must be > 0, "
+                                  f"got {self[f'analysis.{key}']}")
+        if not 0.0 < self["analysis.spin_factor"] <= 1.0:
+            raise ConfigError(
+                f"analysis.spin_factor must lie in (0, 1], "
+                f"got {self['analysis.spin_factor']}")
 
     # ---- builders ----------------------------------------------------
     def coupling_au(self) -> float:
@@ -269,8 +279,9 @@ class RunConfig:
         """(state, info): ground-channel start and how it was made.
 
         info carries the stationary energy and, for the continuum kind,
-        the local level spacing dE/dn needed by the thermal chain and the
-        eigenpair's relative residual (see :class:`ContinuumRef`).
+        the local level spacing dE/dn needed by the thermal chain, the
+        eigenpair's relative residual and the factor solves that found it
+        (see :class:`ContinuumRef`).
         """
         iv = self.values["initial"]
         kind = iv["kind"]
@@ -299,4 +310,4 @@ class RunConfig:
         state = TwoChannelState(grid, amp, np.zeros_like(amp), t0)
         return state, {"kind": kind, "e_g": ref.energy,
                        "de_dn": ref.de_dn, "e_above": ref.e_above,
-                       "residual": ref.residual}
+                       "residual": ref.residual, "solves": ref.solves}

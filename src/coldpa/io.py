@@ -92,13 +92,35 @@ def make_run_dir(out_dir: str) -> str:
     return out_dir
 
 
+# BLAS and OpenMP read their thread variables once, when they load, so a
+# manifest records them as they were when the package was imported
+_THREAD_ENV = {var: os.environ.get(var) for var in (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+_TASK_DIR = "/proc/self/task"      # one entry per thread, where it exists
+
+
+def _thread_count():
+    try:
+        return len(os.listdir(_TASK_DIR))
+    except OSError:
+        return None
+
+
 def write_manifest(out_dir: str, command: str, config_text: str,
                    extra: dict = None):
+    """manifest.json in out_dir: the command, its config text, the files
+    beside it, the package version and an ``environment`` block (numpy
+    and scipy versions, ``scipy.fft`` workers, the process's thread
+    count, null where the system does not list threads, and the BLAS and
+    OpenMP thread variables at import, null where unset); ``extra`` adds
+    top-level keys."""
     manifest = {
         "command": command,
         "config": config_text,
         "environment": {"numpy": np.__version__, "scipy": scipy.__version__,
-                        "fft_workers": scipy.fft.get_workers()},
+                        "fft_workers": scipy.fft.get_workers(),
+                        "threads": _thread_count(),
+                        "thread_env": _THREAD_ENV},
         "files": sorted(f for f in os.listdir(out_dir)
                         if f != "manifest.json"),
         "version": __version__,

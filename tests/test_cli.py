@@ -111,8 +111,10 @@ def test_propagate_manifest_records_the_run(tmp_path):
     rc, out = _propagate(tmp_path, "meta")
     assert rc == 0
     man = read_json(os.path.join(out, "manifest.json"))
-    # the continuum start's eigenpair residual, relative to max|H_ii|
+    # the continuum start's eigenpair residual, relative to max|H_ii|,
+    # and the factor solves that found it
     assert 0.0 <= man["initial"]["residual"] <= 1e-10
+    assert man["initial"]["solves"] > 0
     run = man["propagation"]
     # the measured spectral top sits inside the declared interval
     assert run["e_lo"] < run["lambda_max"] < run["e_hi"]

@@ -95,6 +95,23 @@ def test_hole_settings_out_of_range_rejected():
             RunConfig.parse(MINIMAL + f"[analysis]\n{key} = {raw}\n")
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("temperature_mk", "0"), ("temperature_mk", "-1"), ("volume_cm3", "0"),
+    ("volume_cm3", "-1e-3"), ("n_atoms", "0"), ("n_atoms", "-1e8"),
+    ("spin_factor", "0"), ("spin_factor", "-0.75"), ("spin_factor", "1.5")])
+def test_thermal_settings_out_of_range_rejected(key, raw):
+    # analyze would refuse them only after both bound-level eigensolves
+    with pytest.raises(ConfigError, match=f"analysis.{key} must"):
+        RunConfig.parse(MINIMAL + f"[analysis]\n{key} = {raw}\n")
+
+
+def test_thermal_settings_at_their_edges_accepted():
+    cfg = RunConfig.parse(MINIMAL + "[analysis]\nspin_factor = 1\n"
+                          "temperature_mk = 1e-9\n")
+    assert (cfg["analysis.spin_factor"], cfg["analysis.temperature_mk"]) == (
+        1.0, 1e-9)
+
+
 def test_boolean_style_values_rejected_where_float():
     with pytest.raises(ConfigError):
         RunConfig.parse(MINIMAL + "[propagation]\ncheb_tol = maybe\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from coldpa import io as coldpa_io
 from coldpa.errors import ConfigError, DomainError
 from coldpa.grids import TwoChannelState, build_uniform, gaussian
 from coldpa.impulsive import PredictedPeak
@@ -122,12 +123,37 @@ def test_manifest_lists_files(tmp_path):
 def test_manifest_records_environment(tmp_path):
     write_manifest(str(tmp_path), "coldpa demo", "")
     env = read_json(str(tmp_path / "manifest.json"))["environment"]
+    assert env.pop("threads") >= 1
+    assert env.pop("thread_env").keys() == {
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
     assert env == {"numpy": np.__version__, "scipy": scipy.__version__,
                    "fft_workers": scipy.fft.get_workers()}
     with scipy.fft.set_workers(2):
         write_manifest(str(tmp_path), "coldpa demo", "")
     env = read_json(str(tmp_path / "manifest.json"))["environment"]
     assert env["fft_workers"] == 2
+
+
+def test_manifest_records_threads(tmp_path, monkeypatch):
+    man = str(tmp_path / "manifest.json")
+    tasks = "/proc/self/task"
+    if os.path.isdir(tasks):
+        # read with no thread started in between
+        before = len(os.listdir(tasks))
+        write_manifest(str(tmp_path), "coldpa demo", "")
+        assert read_json(man)["environment"]["threads"] == before
+    monkeypatch.setattr(coldpa_io, "_TASK_DIR", str(tmp_path / "none"))
+    write_manifest(str(tmp_path), "coldpa demo", "")
+    assert read_json(man)["environment"]["threads"] is None
+    # the thread variables as the package found them at import (no test
+    # sets them): BLAS has read them by then, so a later change is not
+    # what it runs with
+    start = {var: os.environ.get(var) for var in (
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    monkeypatch.setenv("OMP_NUM_THREADS", "7")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    write_manifest(str(tmp_path), "coldpa demo", "")
+    assert read_json(man)["environment"]["thread_env"] == start
 
 
 def test_state_round_trip(tmp_path):

@@ -177,9 +177,9 @@ def test_continuum_above_a_well():
 def test_continuum_widens_past_crowded_bound_levels(monkeypatch):
     # a potential far above the kinetic scale (about 0.04 hartree here)
     # sets the spectrum: 11 bound levels 1 hartree apart just below
-    # threshold, continuum levels 50 apart above it. The 6 levels nearest
-    # a target just above threshold are all bound, the 12 nearest end on
-    # the first continuum level, so only 24 hold it and both neighbours
+    # threshold, continuum levels 50 apart above it. The 4 and the 8
+    # levels nearest a target just above threshold are all bound, so only
+    # the 16 nearest hold the first continuum level and both neighbours
     g = build_uniform(2.0, 12.0, 64, MU)
     table = np.where(np.arange(g.n) < 11, -1.0 - np.arange(g.n),
                      50.0 * (np.arange(g.n) - 10))
@@ -198,7 +198,7 @@ def test_continuum_widens_past_crowded_bound_levels(monkeypatch):
 
     monkeypatch.setattr(spectrum, "eigsh", counted)
     ref = continuum_state(crowded, g, 1.0)
-    assert asked == [6, 12, 24]
+    assert asked == [4, 8, 16]
     assert ref.index == 12
     assert ref.energy == pytest.approx(full.energies[11], rel=1e-12)
     assert ref.de_dn == pytest.approx(
@@ -243,6 +243,38 @@ def test_continuum_state_matches_full_spectrum(monkeypatch):
     assert win.n_levels == 81
     np.testing.assert_allclose(win.states, full.states[:, :81],
                                atol=1e-10 * np.max(np.abs(full.states)))
+
+
+@pytest.mark.parametrize("n, r_hi, most", [(420, 60.0, 34), (1400, 200.0, 21)])
+def test_continuum_thermal_targets_take_few_solves(n, r_hi, most):
+    # the thermal targets above, on the reference grid and on the analog
+    # run's. Asked first for the four levels nearest the shift, ARPACK
+    # converges within its first 20-vector Lanczos pass at n=1400 (asked
+    # for six it restarted once: 31 solves); at n=420 it restarts once
+    # either way (six took 32)
+    sys_, grid = _reference_grid(n, r_hi)
+    ground = sys_.ground
+    for e_cm in (3e-5, 1e-4, 5e-4):
+        target = ground.asymptote + convert(e_cm, "cm-1", "hartree")
+        assert continuum_state(ground, grid, target).solves <= most
+
+
+def test_continuum_counts_every_factor_solve(monkeypatch):
+    sys_, grid = _reference_grid(420, 60.0)
+    target = sys_.ground.asymptote + convert(1e3, "cm-1", "hartree")
+    calls = []
+    solve = spectrum.dsytrs
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "dsytrs", counted)
+    ref = continuum_state(sys_.ground, grid, target)
+    assert ref.solves == len(calls) > 0
+    # a fixed start vector: the count repeats exactly
+    assert continuum_state(sys_.ground, grid, target).solves == ref.solves
+    assert len(calls) == 2 * ref.solves
 
 
 def test_continuum_target_on_a_box_level(monkeypatch):

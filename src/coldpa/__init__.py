@@ -36,7 +36,7 @@ from .spectrum import (ContinuumRef, LevelSet, adiabatic_period, beat_period,
                        bound_populations, continuum_state, count_nodes,
                        franck_condon, hamiltonian_matrix, solve_levels,
                        vibrational_period)
-from .units import Quantity, convert
+from .units import convert
 
 __all__ = [
     "AdiabaticPair", "CalibrationError", "ColdpaError", "ConfigError",
@@ -44,7 +44,7 @@ __all__ = [
     "GridCapacityError", "GridMismatchError", "HoleReport",
     "ImpulsivePrediction", "LevelSet", "MomentumPeak", "MomentumSpectrum",
     "NumericsError", "PotentialCurve", "PredictedPeak", "PropagationPlan",
-    "PulseEnvelope", "Quantity", "RadialGrid", "RangeError",
+    "PulseEnvelope", "RadialGrid", "RangeError",
     "ResolutionError", "RunConfig", "Segment", "SpectralBoundsError",
     "ThermalYield", "TimeSeries", "TwoChannelState", "adiabatic_period",
     "adiabatic_potentials", "apply_kinetic", "beat_period",

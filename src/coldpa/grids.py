@@ -457,9 +457,6 @@ class MomentumSpectrum:
     def density(self) -> np.ndarray:
         return np.abs(self.amp) ** 2
 
-    def norm_sq(self) -> float:
-        return float(np.sum(self.density()) * self.dk)
-
 
 def _fft_momentum(values: np.ndarray, r0: float, dr: float) -> MomentumSpectrum:
     m = len(values)

@@ -43,11 +43,6 @@ class PredictedPeak:
     valid: bool               # local gap dominates the coupling (>= 3x)
 
     @property
-    def k_reflected(self) -> float:
-        """Sign-flipped partner after reflection off the inner wall."""
-        return -self.k
-
-    @property
     def t_match_ps(self) -> float:
         return self.t_match / ps2au
 

@@ -46,7 +46,7 @@ def find_momentum_peaks(spec: MomentumSpectrum, k_min: float = 0.0,
     near-zero hump of the unmoved part of the wavepacket (set it to 0 to
     keep everything).
     """
-    rho = np.abs(spec.amp) ** 2
+    rho = spec.density()
     med = float(np.median(rho))
     mad = float(np.median(np.abs(rho - med)))
     floor = med + floor_sigmas * mad

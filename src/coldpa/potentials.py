@@ -190,13 +190,6 @@ class PulseEnvelope:
         """Largest envelope value attained (segment endpoints suffice)."""
         return max(max(s.f0, s.f1) for s in self.segments)
 
-    def flat_top_window(self) -> tuple[float, float] | None:
-        """(t0, t1) of the first const segment at the peak value, if any."""
-        for s in self.segments:
-            if s.shape == "const" and s.f0 == self.flat_value:
-                return (s.t0, s.t1)
-        return None
-
 
 # two-channel system ---------------------------------------------------------
 

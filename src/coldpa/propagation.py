@@ -14,12 +14,15 @@ maps H(f) to H(-f)). The floor is min(V) - f_max W, rigorous since T is
 positive semi-definite. Both are padded by a configurable margin; a
 runaway recurrence is detected and reported rather than silently aliased.
 
-One state layout and one operator builder serve every grid. The state is
-a C-ordered channel-major (2, n) complex block of psi values, ground row
-first, and each Chebyshev term applies 2 A = 2 (H - e_mid) / half_span as
-one pre-scaled operator. Grids of up to 256 points take the dense path:
-the operator is one real symmetric 2n x 2n matrix in the phi = sqrt(J) psi
-representation, block-diagonal in the channels with the coupling at
+One state representation, one layout and one operator builder serve every
+grid. :func:`propagate` turns the initial psi into phi = sqrt(J) psi once,
+in which H is real symmetric (Kosloff, Annu. Rev. Phys. Chem. 45, 145
+(1994)); the engine steps only phi, as a C-ordered channel-major (2, n)
+complex block, ground row first, and psi = phi / sqrt(J) is formed only
+for a stored snapshot. Each Chebyshev term applies
+2 A = 2 (H - e_mid) / half_span as one pre-scaled operator. Grids of up to
+256 points take the dense path: the operator is one real symmetric
+2n x 2n matrix, block-diagonal in the channels with the coupling at
 (i, i + n), and each term is one matmul on the real (2n, 2) [re, im] view
 of the phi block. There a ramp takes one Chebyshev expansion per step, all
 steps of a ramp interval from one set of constants (its dt fixes the
@@ -28,24 +31,24 @@ coupling entries), each term one matmul into its slot of one term buffer
 kept on the engine and one subtraction, and a series of up to 64 terms
 folded once. A constant interval is propagated exactly: H(f) at its
 envelope value f is decomposed once, and reused while f is unchanged; the
-state after j steps is V exp(-i E j dt) V^T phi (Kosloff, Annu. Rev. Phys.
-Chem. 45, 145 (1994)), taken in blocks of up to ``BLOCK_STEPS`` steps, one
-GEMM each.
-Larger grids apply the operator to the psi block itself: the kinetic
-energy as two complex-FFT convolutions against the real cot table, each
-its Toeplitz and Hankel halves on one transform pair at a 5-smooth length
-L >= 2n+1 (see :mod:`coldpa.grids`), with 2 / half_span folded into its
-row scale; the potentials as one (2, n) diagonal; the coupling as one
-scalar on the channel-swapped rows. There a constant interval runs in
+state after j steps is V exp(-i E j dt) V^T phi, taken in blocks of up to
+``BLOCK_STEPS`` steps, one GEMM each.
+Larger grids apply the operator to the phi block through transforms: the
+kinetic energy as J^-1/2 times two complex-FFT convolutions of J^-1/2 phi
+against the real cot table, each its Toeplitz and Hankel halves on one
+transform pair at a 5-smooth length L >= 2n+1 (see :mod:`coldpa.grids`),
+with 2 / half_span folded into its row scale; the potentials as one
+(2, n) diagonal; the coupling as one scalar on the channel-swapped rows
+(sqrt(J) cancels on both). There a constant interval runs in
 blocks of up to ``BLOCK_STEPS`` steps, each from one expansion: every time
-inside its span reads the same T_k(A) psi vectors (Tal-Ezer & Kosloff
-1984), so the state after j steps is sum_k c_k(j alpha) T_k(A) psi, cut at
+inside its span reads the same T_k(A) phi vectors (Tal-Ezer & Kosloff
+1984), so the state after j steps is sum_k c_k(j alpha) T_k(A) phi, cut at
 the order of the block's last step. A block of m steps costs about
 m alpha terms where m single steps cost m times (alpha plus the tail that
 carries each series to convergence). A ramp step there is one Lanczos
 exponential (Park & Light, J. Chem. Phys. 85, 5870 (1986)) of the same
 operator: the state's Krylov space, its basis orthogonalised in full,
-carries exp(-i H dt) psi as the exponential of a small tridiagonal
+carries exp(-i H dt) phi as the exponential of a small tridiagonal
 matrix, so the narrow energy band the state fills, not the grid's span,
 sets the number of applications (13 against 20 Chebyshev terms at
 dt = 0.01 ps on a 1400-point grid). It stops where Saad's a-posteriori
@@ -140,8 +143,9 @@ _TOP_TOL = 1e-6
 
 class _Engine:
     """Cached arrays and the propagation kernels for one (sys, grid) pair,
-    on C-ordered channel-major (2, n) psi blocks, ground row first. Its
-    (e_lo, e_hi) bound H(f) for every 0 <= f <= f_max under ``cap``."""
+    on C-ordered channel-major (2, n) blocks of phi = sqrt(J) psi, ground
+    row first; no kernel converts to psi. Its (e_lo, e_hi) bound H(f) for
+    every 0 <= f <= f_max under ``cap``."""
 
     def __init__(self, sys: CoupledSystem, grid: RadialGrid,
                  tol: float, margin: float, v_cap: float = None):
@@ -160,7 +164,6 @@ class _Engine:
             raise DomainError(
                 f"{('ground', 'excited')[c]} potential is {self.v[c, i]} at "
                 f"r = {float(grid.r[i])!r} bohr (node {i})")
-        self.sqrt_j = np.sqrt(grid.jac)
         self.w_peak = sys.coupling
         # dense kinetic matvec wins below a few hundred points; there
         # H = diag(T + V_g, T + V_e) from one kinetic matrix T, with V
@@ -203,27 +206,30 @@ class _Engine:
     def max_order(self) -> int:
         return max(self.order_counts, default=0)
 
-    def _operator(self, w_eff: float, shift: float, scale: float):
-        """scale (H(w_eff) - shift) as one operator, built once per
-        (shift, scale, path) and kept until the next call.
+    def _operator(self, w_eff: float, shift: float, scale: float,
+                  dtype: type = float):
+        """scale (H(w_eff) - shift) on phi = sqrt(J) psi blocks as one
+        operator op(x, out), built once per (shift, scale, dtype, path) and
+        kept until the next call.
 
         Dense path (``h_dense`` set): ``partial(np.matmul, M)`` with M the
         real symmetric 2n x 2n phi-representation matrix, block-diagonal in
         the channels, the coupling w_eff scale at (i, i + n) and (i + n, i);
-        it acts on a channel-major phi = sqrt(J) psi block, as a 2n vector
-        or its real (2n, 2) [re, im] view. Each call rewrites only those 2n
-        entries, through their precomputed flat indices.
+        it acts on a channel-major phi block as a 2n vector or its real
+        (2n, 2) [re, im] view. Each call rewrites only those 2n entries,
+        through their precomputed flat indices.
 
-        FFT path: apply(x, out) writes it for a channel-major (2, n) block x
-        of psi values, real or complex. The kinetic part is
-        :func:`grids._mapped_gram` with ``scale`` folded into its row scale,
-        then divided by J; the potentials are one (2, n) diagonal
-        (V - shift) scale, and the coupling the scalar w_eff scale on the
-        channel-swapped rows. Time in the FFT convolutions goes to
-        kinetic_s.
+        FFT path: op writes it for a channel-major (2, n) block x of
+        ``dtype``. The kinetic part is J^-1/2 :func:`grids._mapped_gram`
+        (J^-1/2 x) with ``scale`` folded into its row scale; sqrt(J) cancels
+        on the potentials, one (2, n) diagonal (V - shift) scale, and on the
+        coupling, the scalar w_eff scale on the channel-swapped rows. J^-1/2
+        is a full (2, n) array of ``dtype``, which numpy multiplies at half
+        the cost of a broadcast real row. Time in the FFT convolutions goes
+        to kinetic_s.
         """
         dense = self.h_dense is not None
-        key = (shift, scale, dense)
+        key = (shift, scale, dtype, dense)
         if self._op_key != key:
             if dense:
                 m = self.h_dense * scale
@@ -231,47 +237,29 @@ class _Engine:
                 self._op = m
             else:
                 self._op = (self.grid._convolution[2] * scale,
-                            (self.v - shift) * scale)
+                            (self.v - shift) * scale,
+                            np.broadcast_to(1.0 / np.sqrt(self.grid.jac),
+                                            self.v.shape).astype(dtype))
             self._op_key = key
         if dense:
             self._op.reshape(-1)[self._coupling_at] = w_eff * scale
             return partial(np.matmul, self._op)
-        row, diag = self._op
-        inv_j, ws = self.grid._convolution[1], w_eff * scale
+        row, diag, inv_rj = self._op
+        ws = w_eff * scale
 
         def apply(x, out):
             t0 = time.perf_counter()
-            kin = _mapped_gram(self.grid, x, row)
+            kin = _mapped_gram(self.grid, x * inv_rj, row)
             self.kinetic_s += time.perf_counter() - t0
-            np.multiply(kin, inv_j, out=out)
+            np.multiply(kin, inv_rj, out=out)
             out += diag * x
             out += ws * x[::-1]
             return out
 
         return apply
 
-    def _phi_operator(self, w_eff: float, shift: float, scale: float,
-                      dtype: type):
-        """:meth:`_operator` on phi = sqrt(J) psi blocks of ``dtype``, as
-        op(x, out): the dense operator itself, the FFT one conjugated by
-        sqrt(J). The FFT path scales by full (2, n) arrays of the blocks'
-        dtype, which numpy multiplies at half the cost of a broadcast
-        real row."""
-        op = self._operator(w_eff, shift, scale)
-        if self.h_dense is not None:
-            return op
-        to_phi = np.broadcast_to(self.sqrt_j, (2, self.grid.n)).astype(dtype)
-        to_psi = 1.0 / to_phi
-
-        def apply(x, out):
-            op(x * to_psi, out)
-            out *= to_phi
-            return out
-
-        return apply
-
     def _lanczos(self, op, x: np.ndarray, rows: int):
-        """Lanczos on the symmetric ``op`` (a :meth:`_phi_operator`) from the
+        """Lanczos on the symmetric ``op`` (an :meth:`_operator`) from the
         real or complex phi block x. For m = 1, 2, ... it applies op once
         more and yields (norm, basis, d, e, b): the norm of x; the m
         orthonormal Lanczos vectors as an (m,) + x.shape view; the diagonal
@@ -309,7 +297,7 @@ class _Engine:
 
     def _top(self, w: float) -> float:
         """Largest eigenvalue of H at coupling w, by :meth:`_lanczos` on
-        :meth:`_phi_operator` at shift 0 and scale 1. It stops at the first
+        :meth:`_operator` at shift 0 and scale 1. It stops at the first
         m whose top Ritz pair (theta, s) has a residual b |s_m| of at most
         ``_TOP_TOL`` |theta|. Operator applications go to bound_matvecs."""
         n = self.grid.n
@@ -318,7 +306,7 @@ class _Engine:
         x = np.random.default_rng(0).standard_normal(2 * n).reshape(n, 2).T
         if self.h_dense is not None:
             x = x.ravel()       # the dense operator takes a 2n vector
-        op = self._phi_operator(w, 0.0, 1.0, float)
+        op = self._operator(w, 0.0, 1.0)
         for _, _, d, e, b in self._lanczos(op, np.ascontiguousarray(x), 32):
             m = len(d)
             _, theta, block, split, info = dstebz(d, e, 2, 0.0, 0.0, m, m,
@@ -333,15 +321,15 @@ class _Engine:
         self.bound_matvecs += m
         return float(theta[0])
 
-    def _krylov(self, psi: np.ndarray, dt: float, f: float) -> np.ndarray:
-        """exp(-i H(f) dt) psi of a channel-major (2, n) psi block on the
-        FFT path (Park & Light, J. Chem. Phys. 85, 5870 (1986)), from
+    def _krylov(self, phi: np.ndarray, dt: float, f: float) -> np.ndarray:
+        """exp(-i H(f) dt) phi of a complex channel-major (2, n) phi block on
+        the FFT path (Park & Light, J. Chem. Phys. 85, 5870 (1986)), from
         :meth:`_lanczos` on the operator the series applies,
-        B = 2 (H - e_mid) / half_span, in the phi representation. With
-        tau = half_span dt / 2 and the Lanczos matrix T = S diag(theta) S^T,
-        phi is carried to e^{-i e_mid dt} |phi| V^T S exp(-i tau theta)
-        S^T e_1 at the first m whose error estimate, the first term of
-        Saad's expansion of the error (SIAM J. Numer. Anal. 29, 209 (1992)),
+        B = 2 (H - e_mid) / half_span. With tau = half_span dt / 2 and the
+        Lanczos matrix T = S diag(theta) S^T, phi is carried to
+        e^{-i e_mid dt} |phi| V^T S exp(-i tau theta) S^T e_1 at the first m
+        whose error estimate, the first term of Saad's expansion of the
+        error (SIAM J. Numer. Anal. 29, 209 (1992)),
         tau b |e_m^T phi_1(-i tau T) e_1| with phi_1(z) = (e^z - 1) / z, is
         at most tol. On 0.01 ps ramp steps of a 1400-point grid it matches
         the error measured against a converged series to within a factor
@@ -350,11 +338,10 @@ class _Engine:
         estimate is first taken at one below the last step's m. The m
         applications go to order_counts, the wall time to series_s."""
         t0 = time.perf_counter()
-        op = self._phi_operator(self.w_peak * f, self.e_mid,
-                                2.0 / self.half_span, complex)
+        op = self._operator(self.w_peak * f, self.e_mid,
+                            2.0 / self.half_span, complex)
         tau = 0.5 * self.half_span * dt
         last = self._krylov_m
-        phi = (psi * self.sqrt_j).astype(complex, copy=False)
         for size, basis, d, e, b in self._lanczos(op, phi, last + 2):
             if len(d) < last - 1 and b > 0.0:
                 continue
@@ -371,8 +358,8 @@ class _Engine:
         m = self._krylov_m = len(d)
         self.order_counts[m] = self.order_counts.get(m, 0) + 1
         z = half * np.exp(-0.5j * tau * theta)     # exp(-i tau T) e_1 = s z
-        out = ((s @ z) @ basis.reshape(m, -1)).reshape(psi.shape)
-        out *= size * np.exp(-1j * self.e_mid * dt) / self.sqrt_j
+        out = ((s @ z) @ basis.reshape(m, -1)).reshape(phi.shape)
+        out *= size * np.exp(-1j * self.e_mid * dt)
         self.series_s += time.perf_counter() - t0
         return out
 
@@ -401,10 +388,9 @@ class _Engine:
         """The term buffer, kept on the engine from call to call: its slot
         views, and its two halves as real (slots / 2, size) matrices.
         Slot k sits in half k % 2, so the terms of one parity are
-        contiguous rows. A slot is the real (2n, 2) [re, im] view of a phi
-        block on the dense path, a complex (2, n) psi block on the FFT
-        path; the buffer holds ``_DENSE_FOLD`` and ``_FOLD`` slots
-        there."""
+        contiguous rows. A slot is a phi block: its real (2n, 2) [re, im]
+        view on the dense path, a complex (2, n) block on the FFT path; the
+        buffer holds ``_DENSE_FOLD`` and ``_FOLD`` slots there."""
         if self._terms is None:
             dense = self.h_dense is not None
             shape = (2 * self.grid.n, 2) if dense else (2, self.grid.n)
@@ -416,16 +402,15 @@ class _Engine:
         return self._terms
 
     def _series(self, dt: float, m: int = 1):
-        """run(psi, f): the (m, 2, n) states exp(-i H(f) j dt) psi,
-        j = 1..m, of a channel-major (2, n) block from one expansion:
-        e^{-i e_mid j dt} sum_k c_k(j alpha) T_k(A) psi, with
+        """run(phi, f): the (m, 2, n) states exp(-i H(f) j dt) phi,
+        j = 1..m, of a channel-major (2, n) phi block from one expansion:
+        e^{-i e_mid j dt} sum_k c_k(j alpha) T_k(A) phi, with
         A = (H - e_mid) / half_span, alpha = half_span dt and apply2a the
         :meth:`_operator` at (e_mid, 2 / half_span). What dt and m fix is
         taken here once: the coefficient rows, their order and the phases.
         A run sets only the coupling of its f, so the steps of one ramp
-        interval share it. The dense path runs it on the real (2n, 2)
-        [re, im] view of phi = sqrt(J) psi. Each run goes to order_counts,
-        the wall time to series_s.
+        interval share it. Each run goes to order_counts, the wall time to
+        series_s.
 
         Each term is one application of apply2a into its slot of
         :meth:`_buffer` and one in-place subtraction. A is real, so each
@@ -438,8 +423,8 @@ class _Engine:
         t0 = time.perf_counter()
         coefs = self._coefficients(self.half_span * dt, m)
         order = coefs.shape[1] - 1
-        dense = self.h_dense is not None
         slots, halves = self._buffer()
+        x = slots[0]
         # per fold: its slots in use, and the coefficients of its even and
         # odd terms as Fortran-ordered (rows, m) blocks, which dgemm takes
         # without a copy
@@ -449,23 +434,16 @@ class _Engine:
             folds.append((used, [np.ascontiguousarray(
                 coefs[:, k0 + p:k0 + used:2]).T for p in (0, 1)]))
         phase = np.exp(-1j * self.e_mid * dt * np.arange(1, m + 1))[:, None]
-        if dense:
-            phase = phase / np.tile(self.sqrt_j, 2)     # phi back to psi
         self.series_s += time.perf_counter() - t0
 
-        def run(psi: np.ndarray, f: float) -> np.ndarray:
+        def run(phi: np.ndarray, f: float) -> np.ndarray:
             t0 = time.perf_counter()
             apply2a = self._operator(self.w_peak * f, self.e_mid,
-                                     2.0 / self.half_span)
-            x = slots[0]
-            if dense:
-                np.multiply(psi, self.sqrt_j,
-                            out=x.view(complex).reshape(psi.shape))
-            else:
-                x[...] = psi
+                                     2.0 / self.half_span, complex)
+            x.view(complex).reshape(phi.shape)[...] = phi
             guard = 100.0 * float(np.abs(x).max()) + 1e-300
             acc = np.zeros((2, m, halves.shape[2]))
-            # T_0 = psi, T_1 = A T_0, T_k = 2 A T_(k-1) - T_(k-2)
+            # T_0 = phi, T_1 = A T_0, T_k = 2 A T_(k-1) - T_(k-2)
             prev2 = prev = x
             if order:
                 prev = slots[1]
@@ -494,23 +472,19 @@ class _Engine:
             out += acc[0].view(complex)
             out *= phase
             self.series_s += time.perf_counter() - t0
-            return out.reshape((m,) + psi.shape)
+            return out.reshape((m,) + phi.shape)
 
         return run
 
-    def step(self, psi: np.ndarray, dt: float, f_mid: float) -> np.ndarray:
-        """exp(-i H(f_mid) dt) applied to a channel-major (2, n) block."""
-        return self._series(dt)(psi, f_mid)[0]
-
-    def steps(self, psi: np.ndarray, dt: float, f_mid: np.ndarray,
+    def steps(self, phi: np.ndarray, dt: float, f_mid: np.ndarray,
               const: bool):
-        """Yield the (2, n) state after each step of an interval with
+        """Yield the (2, n) phi block after each step of an interval with
         envelope values f_mid at the step midpoints. A ramp takes one
         expansion per step: Chebyshev on the dense path, all from one
         :meth:`_series`, and Lanczos (:meth:`_krylov`) on the FFT path. A
         constant interval takes one Chebyshev expansion per block of up to
         ``BLOCK_STEPS`` steps on the FFT path; on the dense path it is
-        exact: the coupled phi-H(f), ``h_dense`` with W f on its two
+        exact: the coupled H(f), ``h_dense`` with W f on its two
         coupling diagonals, is decomposed as V diag(E) V^T, and with
         c = V^T phi the state after j steps is phi_j = V exp(-i E j dt) c,
         taken in blocks of up to ``BLOCK_STEPS`` steps: one GEMM of V
@@ -519,8 +493,8 @@ class _Engine:
         add no eigensolve."""
         if not const and self.h_dense is None:
             for f in f_mid:
-                psi = self._krylov(psi, dt, f)
-                yield psi
+                phi = self._krylov(phi, dt, f)
+                yield phi
             return
         if not const or self.h_dense is None:
             block = BLOCK_STEPS if const else 1
@@ -529,9 +503,9 @@ class _Engine:
                 m = min(block, len(f_mid) - i)
                 if m not in runs:
                     runs[m] = self._series(dt, m)
-                states = runs[m](psi, f_mid[i])
+                states = runs[m](phi, f_mid[i])
                 yield from states
-                psi = states[-1]
+                phi = states[-1]
             return
         f = f_mid[0]
         if self._eigen_f != f:
@@ -550,12 +524,10 @@ class _Engine:
             dev = float(max(gram.max(), -gram.min()))
             del gram        # this frame, and its locals, outlive the yields
             self.eigen_orthogonality = max(self.eigen_orthogonality, dev)
-            v /= np.tile(self.sqrt_j, 2)[:, None]   # so that V c is psi
             self._eigen, self._eigen_f = (e, v), f
         e, v = self._eigen
-        # c = V^T phi, with V now divided by sqrt(J) and phi = sqrt(J) psi
-        jpsi = np.ascontiguousarray(psi, dtype=complex) * self.grid.jac
-        c = (v.T @ jpsi.view(float).reshape(-1, 2)).view(complex)[:, 0]
+        phi = np.ascontiguousarray(phi, dtype=complex)
+        c = (v.T @ phi.view(float).reshape(-1, 2)).view(complex)[:, 0]
         # exp(-i E j dt), j = 1..BLOCK_STEPS, as one outer product
         table = np.exp(np.outer(e, -1j * dt * np.arange(
             1, min(BLOCK_STEPS, len(f_mid)) + 1)))
@@ -567,7 +539,7 @@ class _Engine:
             cols = table[:, :b] * (c * np.exp(-1j * dt * j0 * e))[:, None]
             states = (v @ cols.view(float)).view(complex).T
             yield from np.ascontiguousarray(states).reshape(
-                (b,) + jpsi.shape)
+                (b,) + phi.shape)
 
 
 # TimeSeries.meta entries that are wall-clock seconds, so differ between
@@ -594,11 +566,6 @@ class TimeSeries:
     def norm_drift(self) -> float:
         return float(np.max(np.abs(self.norm - self.norm[0])))
 
-    def final(self) -> TwoChannelState:
-        if not self.snapshots:
-            raise DomainError("run recorded no snapshots")
-        return self.snapshots[-1]
-
 
 def _knot_times(sys: CoupledSystem, plan: PropagationPlan) -> np.ndarray:
     knots = {plan.t_start, plan.t_end}
@@ -622,9 +589,11 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
               initial: TwoChannelState) -> TimeSeries:
     """Drive the state from plan.t_start to plan.t_end.
 
-    Populations and norm are recorded at every step edge; snapshots are
-    stored exactly at the requested times (step sizes are clipped to land
-    on them).
+    The engine steps phi = sqrt(J) psi, taken from the initial state
+    once. Populations and norm are recorded at every step edge, as
+    dx sum |phi|^2 (the weights are w = J dx); snapshots are stored
+    exactly at the requested times (step sizes are clipped to land on
+    them), as psi = phi / sqrt(J).
     """
     ensure_same_grid(grid, initial.grid)
     for name, amp in (("ground", initial.g), ("excited", initial.e)):
@@ -636,17 +605,19 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
     if not abs(norm - 1.0) <= 1e-6:
         raise DomainError(f"initial state norm {norm:.8f} is not 1")
     eng = _Engine(sys, grid, plan.cheb_tol, plan.spectral_margin, plan.v_cap)
-    psi = np.array([initial.g, initial.e], dtype=complex)
+    rj = np.sqrt(grid.jac)
+    phi = np.array([initial.g, initial.e], dtype=complex) * rj
     t = plan.t_start
+    dx = np.full(grid.n, grid.dx)
 
     def pops(p):
-        return (p.real ** 2 + p.imag ** 2) @ grid.w
+        return (p.real ** 2 + p.imag ** 2) @ dx
 
-    rec_t, rec_p = [t], [pops(psi)]
+    rec_t, rec_p = [t], [pops(phi)]
     snaps = []
     want = set(float(x) for x in plan.snapshots)
     if t in want:
-        snaps.append(TwoChannelState(grid, *psi, t))
+        snaps.append(TwoChannelState(grid, *(phi / rj), t))
 
     knots = _knot_times(sys, plan)
     for ta, tb in zip(knots[:-1], knots[1:]):
@@ -659,14 +630,13 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
             f_mid = np.full(n_steps, sys.envelope.value(0.5 * (ta + tb)))
         else:
             f_mid = sys.envelope.value(ta + (np.arange(n_steps) + 0.5) * dt)
-        for psi in eng.steps(psi, dt, f_mid, const):
+        for phi in eng.steps(phi, dt, f_mid, const):
             t += dt
-            rec_t.append(t); rec_p.append(pops(psi))
+            rec_t.append(t); rec_p.append(pops(phi))
         t = tb    # kill accumulated rounding at the knot
         rec_t[-1] = t
         if any(abs(t - s) < 1e-9 for s in want):
-            # a copy: psi may be one row of a block of states
-            snaps.append(TwoChannelState(grid, *psi.copy(), t))
+            snaps.append(TwoChannelState(grid, *(phi / rj), t))
 
     meta = {
         "e_lo": eng.e_lo, "e_hi": eng.e_hi, "v_cap": eng.cap,

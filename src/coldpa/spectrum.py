@@ -125,11 +125,6 @@ class LevelSet:
     def state(self, v: int) -> np.ndarray:
         return self.states[:, v]
 
-    def rotational_constant(self, v: int) -> float:
-        """<1 / (2 mu R^2)> for level v, hartree."""
-        psi2 = np.abs(self.states[:, v]) ** 2 * self.grid.w
-        return float(np.sum(psi2 / (2.0 * self.grid.mu * self.grid.r**2)))
-
     def rotational_constants(self) -> np.ndarray:
         """<1 / (2 mu R^2)> for every level, hartree, in one pass over
         the states in column blocks."""

@@ -6,8 +6,6 @@ hbar = 1). Conversions happen only at the I/O boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, DomainError
@@ -96,26 +94,6 @@ def convert(value, src: str, dst: str):
             f"cannot convert {sname} ({sdim}) to {dname} ({ddim})"
         )
     return value * (sfac / dfac)
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A value tagged with its unit."""
-
-    value: float
-    unit: str
-
-    def to(self, unit: str) -> "Quantity":
-        return Quantity(convert(self.value, self.unit, unit), unit)
-
-    def in_au(self) -> float:
-        _, (_, fac) = _lookup(self.unit)
-        return self.value * fac
-
-    @property
-    def dimension(self) -> str:
-        _, (dim, _) = _lookup(self.unit)
-        return dim
 
 
 def kinetic_energy(k_au, mu: float):

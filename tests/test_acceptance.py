@@ -287,7 +287,7 @@ def test_free_packet_matches_dispersion():
     ana = np.exp(-drifted**2 / (4.0 * sig**2 * alpha) + 1j * k0 * grid.r
                  - 0.5j * k0**2 * t / mu) / np.sqrt(alpha)
     ana = normalize(grid, ana)
-    err = float(np.max(np.abs(ts.final().g - ana))
+    err = float(np.max(np.abs(ts.snapshots[-1].g - ana))
                 / np.max(np.abs(ana)))
     _WALL["free"] = time.time() - t0
     wall = _WALL.get("drift", 0.0) + _WALL.get("ode", 0.0) + _WALL["free"]

@@ -144,7 +144,10 @@ def test_build_system_calibrates_crossing(default_sys):
         convert(13.17, "cm-1", "hartree"))
     assert default_sys.ground.asymptote == pytest.approx(
         -convert(140.0, "cm-1", "hartree"))
-    lo, hi = default_sys.envelope.flat_top_window()
+    env = default_sys.envelope
+    (flat,) = [s for s in env.segments
+               if s.shape == "const" and s.f0 == env.flat_value]
+    lo, hi = flat.t0, flat.t1
     assert lo == pytest.approx(100.0 * ps2au)
     assert hi == pytest.approx(295.0 * ps2au)
 

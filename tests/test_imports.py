@@ -65,7 +65,8 @@ UNCALLED_ALLOWED = {
 
 def test_every_private_definition_is_used():
     # a module-level function or class outside coldpa.__all__ must be read
-    # somewhere in the package, or it is a path that nothing takes
+    # somewhere in the package, or it is a path that nothing takes; so must
+    # every method and property other than a dunder
     src = pathlib.Path(coldpa.__file__).parent
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(src.glob("*.py"))}
@@ -81,6 +82,12 @@ def test_every_private_definition_is_used():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name not in coldpa.__all__ and node.name not in read
             and (name, node.name) not in UNCALLED_ALLOWED]
+    dead += [f"{name}:{node.lineno} {cls.name}.{node.name}"
+             for name, tree in trees.items() for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.FunctionDef)
+             and not (node.name.startswith("__") and node.name.endswith("__"))
+             and node.name not in read]
     assert not dead, f"definitions nothing in the package uses: {dead}"
 
 

@@ -75,7 +75,9 @@ def test_envelope_default_shape():
     assert env.value(350.0 * ps2au) == 0.0
     assert env.value(1e6 * ps2au) == 0.0                   # past the end
     assert env.flat_value == 1.0
-    lo, hi = env.flat_top_window()
+    (flat,) = [s for s in env.segments
+               if s.shape == "const" and s.f0 == env.flat_value]
+    lo, hi = flat.t0, flat.t1
     assert lo == pytest.approx(100.0 * ps2au)
     assert hi == pytest.approx(295.0 * ps2au)
 

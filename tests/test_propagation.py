@@ -11,8 +11,8 @@ from coldpa.errors import (DomainError, GridMismatchError,
 from coldpa.grids import TwoChannelState, build_grid, build_uniform, gaussian
 from coldpa.potentials import CoupledSystem, PotentialCurve, PulseEnvelope
 from coldpa import propagation
-from coldpa.propagation import (BLOCK_STEPS, PropagationPlan, TimeSeries,
-                                _Engine, propagate)
+from coldpa.propagation import (BLOCK_STEPS, PropagationPlan, _Engine,
+                                propagate)
 from coldpa.spectrum import hamiltonian_matrix
 from coldpa.units import ps2au
 
@@ -134,9 +134,11 @@ def test_free_gaussian_closed_form(n):
     mu, r0, sigma, k0 = 2000.0, 18.0, 0.5, 1.0
     grid = build_uniform(2.0, 40.0, n, mu)
     eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    # J = 1 on a uniform grid, so phi = sqrt(J) psi is psi
     psi = np.array([gaussian(grid, r0, sigma, k0), np.zeros(n)])
+    run = eng._series(200.0)
     for _ in range(4):
-        psi = eng.step(psi, 200.0, 0.0)
+        psi = run(psi, 0.0)[0]
     st = TwoChannelState(grid, *psi, 4 * 200.0)
     a = sigma**2 + 1j * st.t / (2.0 * mu)
     c = grid.r - r0 - k0 * st.t / mu
@@ -153,7 +155,7 @@ def test_step_time_reversal():
     dt = 0.05 * ps2au
     eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
     psi = np.array([init.g, init.e])
-    back = eng.step(eng.step(psi, dt, 0.7), -dt, 0.7)
+    back = eng._series(-dt)(eng._series(dt)(psi, 0.7)[0], 0.7)[0]
     np.testing.assert_allclose(back, psi, atol=1e-12)
 
 
@@ -198,25 +200,44 @@ def test_norm_conserved_over_many_steps():
     eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
     pair = np.stack([init.g, init.e]).astype(complex)
     n0 = np.sqrt(np.sum(np.abs(pair) ** 2 * grid.w))
+    run = eng._series(0.02 * ps2au)
     for _ in range(1000):
-        pair = eng.step(pair, 0.02 * ps2au, 1.0)
+        pair = run(pair, 1.0)[0]
     n1 = np.sqrt(np.sum(np.abs(pair) ** 2 * grid.w))
     assert abs(n1 - n0) < 1e-11
 
 
-def test_snapshots_land_exactly():
+@pytest.mark.parametrize("mapping, n, snaps_ps, dt", [
+    ("uniform", 64, (0.0, 1.3, 7.25, 15.0), {"dt_flat": 0.1}),
+    ("adaptive", 120, (0.0, 1.3, 7.25, 15.0), {"dt_flat": 0.1}),
+    # FFT-path blocks over the adaptive grid's wide span take orders in the
+    # thousands at 0.1 ps, so a short window across the ramp's end
+    ("adaptive", 300, (1.998, 1.999, 2.0, 2.003),
+     {"dt_ramp": 0.0005, "dt_flat": 0.0005}),
+], ids=["uniform-64", "adaptive-120", "adaptive-300"])
+def test_snapshots_land_exactly(mapping, n, snaps_ps, dt):
+    # J != 1 on the adaptive grids (dense and FFT path), so the recorded
+    # populations, from phi = sqrt(J) psi, and the snapshots, in psi,
+    # disagree there if a conversion is missing
     sys_, grid, init = _offset_pair()
-    snaps_ps = (0.0, 1.3, 7.25, 15.0)
-    plan = PropagationPlan.from_ps(t_start=0.0, t_end=15.0, dt_flat=0.1,
-                                   snapshots=snaps_ps)
+    if mapping == "adaptive":
+        grid = build_grid(sys_, n, 3.0, 12.0, kind=mapping)
+        init = TwoChannelState(grid, gaussian(grid, 6.0, 0.44), np.zeros(n))
+    assert grid.kind == mapping and grid.n == n
+    plan = PropagationPlan.from_ps(t_start=snaps_ps[0], t_end=snaps_ps[-1],
+                                   snapshots=snaps_ps, **dt)
     ts = propagate(sys_, grid, plan, init)
     assert len(ts.snapshots) == 4
+    assert np.all(np.diff(ts.t) > 0)
+    start = ts.snapshots[0]
+    np.testing.assert_allclose([start.g, start.e], [init.g, init.e],
+                               rtol=1e-12, atol=0)
     for snap, t_ps in zip(ts.snapshots, snaps_ps):
         assert abs(snap.t - t_ps * ps2au) < 1e-9
-    assert ts.final() is ts.snapshots[-1]
-    assert np.all(np.diff(ts.t) > 0)
-    # populations at the final snapshot agree with the recorded series
-    assert ts.final().population_e() == pytest.approx(ts.pop_e[-1], rel=1e-12)
+        # populations at every snapshot agree with the recorded series
+        (i,) = np.flatnonzero(ts.t == snap.t)
+        assert snap.population_g() == pytest.approx(ts.pop_g[i], rel=1e-12)
+        assert snap.population_e() == pytest.approx(ts.pop_e[i], rel=1e-12)
     for key in ("e_lo", "e_hi", "v_cap", "matvecs", "max_order"):
         assert key in ts.meta
 
@@ -243,13 +264,6 @@ def test_propagate_refuses_a_non_finite_initial_state(channel, fill):
         propagate(sys_, grid, plan, bad)
 
 
-def test_empty_series_has_no_final():
-    ts = TimeSeries(t=np.zeros(1), pop_g=np.ones(1), pop_e=np.zeros(1),
-                    norm=np.ones(1), snapshots=[], grid=None)
-    with pytest.raises(DomainError):
-        ts.final()
-
-
 def test_runaway_recurrence_is_caught():
     # declaring too small a spectral span must be detected, not aliased
     sys_, grid, init = _offset_pair()
@@ -257,7 +271,7 @@ def test_runaway_recurrence_is_caught():
     eng.half_span *= 0.15
     pair = np.stack([init.g, init.e]).astype(complex)
     with pytest.raises(SpectralBoundsError):
-        eng.step(pair, 60.0 / eng.half_span, 1.0)
+        eng._series(60.0 / eng.half_span)(pair, 1.0)
 
 
 def test_runaway_recurrence_is_caught_on_fft_path():
@@ -266,10 +280,10 @@ def test_runaway_recurrence_is_caught_on_fft_path():
     eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
     eng.h_dense = None
     pair = np.stack([init.g, init.e]).astype(complex)
-    eng.step(pair, 0.02 * ps2au, 1.0)
+    eng._series(0.02 * ps2au)(pair, 1.0)
     eng.half_span *= 0.15
     with pytest.raises(SpectralBoundsError):
-        eng.step(pair, 60.0 / eng.half_span, 1.0)
+        eng._series(60.0 / eng.half_span)(pair, 1.0)
 
 
 @pytest.mark.parametrize("n", [64, 300])      # dense and transform kernels
@@ -296,7 +310,7 @@ def test_non_finite_term_is_caught(monkeypatch, n):
     pair = np.stack([gaussian(grid, 6.0, 0.44),
                      np.zeros(grid.n)]).astype(complex)
     with pytest.raises(SpectralBoundsError, match="not finite"):
-        eng.step(pair, 0.005 * ps2au, 1.0)
+        eng._series(0.005 * ps2au)(pair, 1.0)
 
 
 # --- exact propagation of constant intervals on the dense path ------------------
@@ -316,9 +330,9 @@ def test_eigen_path_matches_chebyshev_kernels(mapping, n, dt_ps):
     fft = _Engine(sys_, grid, tol=1e-14, margin=0.05)
     fft.h_dense = None
     dt = dt_ps * ps2au
-    # one step: dense and transform-kernel recurrences
-    ref = eng.step(pair, dt, 1.0)
-    np.testing.assert_allclose(fft.step(pair, dt, 1.0), ref,
+    # one step: dense and transform-kernel recurrences, on pair as phi
+    ref = eng._series(dt)(pair, 1.0)[0]
+    np.testing.assert_allclose(fft._series(dt)(pair, 1.0)[0], ref,
                                rtol=0, atol=1e-12)
     # the exact path against both recurrences after 200 steps, and
     # against the dense one after 1000
@@ -326,13 +340,14 @@ def test_eigen_path_matches_chebyshev_kernels(mapping, n, dt_ps):
     assert eng.eigensolves == 1 and len(exact) == 1000
     assert eng.eigen_orthogonality < 1e-12
     dense = kernel = pair
+    dense_run, kernel_run = eng._series(dt), fft._series(dt)
     for k in range(200):
-        dense = eng.step(dense, dt, 1.0)
-        kernel = fft.step(kernel, dt, 1.0)
+        dense = dense_run(dense, 1.0)[0]
+        kernel = kernel_run(kernel, 1.0)[0]
     np.testing.assert_allclose(exact[199], dense, rtol=0, atol=1e-10)
     np.testing.assert_allclose(exact[199], kernel, rtol=0, atol=1e-10)
     for k in range(800):
-        dense = eng.step(dense, dt, 1.0)
+        dense = dense_run(dense, 1.0)[0]
     np.testing.assert_allclose(exact[-1], dense, rtol=0, atol=1e-10)
 
 
@@ -363,8 +378,8 @@ def test_flat_top_and_dark_tail_do_one_eigensolve_each():
         snapshots=(4.0, 6.0, 8.0, 10.0, 15.0)), init)
     assert split.meta["eigensolves"] == 2
     assert len(split.t) == len(ts.t)
-    for a, b in ((split.final().g, ts.final().g),
-                 (split.final().e, ts.final().e)):
+    for a, b in ((split.snapshots[-1].g, ts.snapshots[-1].g),
+                 (split.snapshots[-1].e, ts.snapshots[-1].e)):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -497,12 +512,10 @@ def test_fft_step_matches_exact_propagator(f):
     assert eng.h_dense is None
     dt = 0.002 * ps2au
     evals, vecs = np.linalg.eigh(_coupled_h(sys_, grid, eng.cap, f))
-    rj = np.sqrt(grid.jac)
-    phi = (pair * rj).ravel()
-    out = vecs @ (np.exp(-1j * evals * dt) * (vecs.T @ phi))
-    exact = out.reshape(2, grid.n) / rj
-    np.testing.assert_allclose(eng.step(pair, dt, f), exact, rtol=0,
-                               atol=1e-11)
+    phi = pair * np.sqrt(grid.jac)
+    out = vecs @ (np.exp(-1j * evals * dt) * (vecs.T @ phi.ravel()))
+    np.testing.assert_allclose(eng._series(dt)(phi, f)[0],
+                               out.reshape(2, grid.n), rtol=0, atol=1e-11)
 
 
 def test_meta_times_the_series_and_the_kinetic_step():
@@ -532,9 +545,9 @@ def test_fft_blocks_match_chained_steps(f):
     assert blocked.h_dense is None
     states = list(blocked.steps(pair, dt, np.full(n_steps, f), const=True))
     assert len(states) == n_steps
-    psi = pair
+    psi, run = pair, single._series(dt)
     for got in states:
-        psi = single.step(psi, dt, f)
+        psi = run(psi, f)[0]
         np.testing.assert_allclose(got, psi, rtol=0, atol=1e-12)
     # one expansion per block, one matvec per term of each
     counts = blocked.order_counts
@@ -605,15 +618,15 @@ def test_constant_interval_conserves_energy(path, f):
     eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
     assert (eng.h_dense is None) == (path == "blocks")
     h = _coupled_h(sys_, grid, eng.cap, f)
-    rj = np.sqrt(grid.jac)
+    phi0 = pair * np.sqrt(grid.jac)
 
-    def energy(psi):
-        phi = (psi * rj).ravel()
+    def energy(phi):
+        phi = phi.ravel()
         return (phi.conj() @ h @ phi).real / np.vdot(phi, phi).real
 
-    e0 = energy(pair)
-    drift = max(abs(energy(psi) - e0)
-                for psi in eng.steps(pair, dt, np.full(n_steps, f), True))
+    e0 = energy(phi0)
+    drift = max(abs(energy(phi) - e0)
+                for phi in eng.steps(phi0, dt, np.full(n_steps, f), True))
     assert drift <= n_steps * 1e-14 * eng.half_span
 
 
@@ -627,10 +640,10 @@ def test_fft_ramp_step_matches_exact_propagator(f):
     eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
     dt = 0.002 * ps2au
     evals, vecs = np.linalg.eigh(_coupled_h(sys_, grid, eng.cap, f))
-    rj = np.sqrt(grid.jac)
-    out = vecs @ (np.exp(-1j * evals * dt) * (vecs.T @ (pair * rj).ravel()))
-    (got,) = eng.steps(pair, dt, np.array([f]), const=False)
-    np.testing.assert_allclose(got, out.reshape(2, grid.n) / rj, rtol=0,
+    phi = pair * np.sqrt(grid.jac)
+    out = vecs @ (np.exp(-1j * evals * dt) * (vecs.T @ phi.ravel()))
+    (got,) = eng.steps(phi, dt, np.array([f]), const=False)
+    np.testing.assert_allclose(got, out.reshape(2, grid.n), rtol=0,
                                atol=1e-11)
 
 
@@ -643,14 +656,16 @@ def test_lanczos_ramp_steps_track_chebyshev_steps():
     ramp = _Engine(sys_, grid, tol=1e-14, margin=0.05)
     chain = _Engine(sys_, grid, tol=1e-14, margin=0.05)
 
-    def norm(psi):
-        return np.sqrt(np.sum(np.abs(psi) ** 2 * grid.w))
+    def norm(phi):      # the weights are w = J dx
+        return np.sqrt(np.sum(np.abs(phi) ** 2) * grid.dx)
 
-    psi = pair = pair / norm(pair)
-    for f, got in zip(f_mid, ramp.steps(pair, dt, f_mid, const=False)):
-        psi = chain.step(psi, dt, f)
+    phi = pair * np.sqrt(grid.jac)
+    phi = start = phi / norm(phi)
+    run = chain._series(dt)
+    for f, got in zip(f_mid, ramp.steps(start, dt, f_mid, const=False)):
+        phi = run(phi, f)[0]
         assert abs(norm(got) - 1.0) <= 1e-12
-    np.testing.assert_allclose(got, psi, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(got, phi, rtol=0, atol=1e-11)
     assert sum(ramp.order_counts.values()) == 500
     assert max(ramp.order_counts) < chain.max_order
     assert ramp.matvecs < chain.matvecs

@@ -126,11 +126,14 @@ def test_rotational_constants():
     g = build_uniform(1.5, 30.0, 512, MU)
     levels = solve_levels(_morse, g)
     bound = levels.bound()
-    bv = np.array([bound.rotational_constant(v) for v in range(8)])
-    # the blocked pass over all 512 levels sums in another order
+    bv = bound.rotational_constants()[:8]
+    # the blocked pass over all 512 levels sums in another order than
+    # <1 / (2 mu R^2)> level by level
+    q = g.w / (2.0 * MU * g.r**2)
     np.testing.assert_allclose(
         levels.rotational_constants(),
-        [levels.rotational_constant(v) for v in range(g.n)], rtol=1e-13)
+        [np.sum(np.abs(levels.states[:, v]) ** 2 * q) for v in range(g.n)],
+        rtol=1e-13)
     assert np.all(np.diff(bv) < 0)          # outward drift with v
     assert bv[0] == pytest.approx(1.0 / (2.0 * MU * RE**2), rel=0.1)
 

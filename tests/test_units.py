@@ -57,15 +57,6 @@ def test_convert_dimension_mismatch():
         units.convert(1.0, "nope", "bohr")
 
 
-def test_quantity():
-    q = units.Quantity(140.0, "cm-1")
-    assert q.dimension == "energy"
-    assert q.in_au() == pytest.approx(140.0 / units.hartree2cm)
-    assert q.to("hartree").value == pytest.approx(q.in_au())
-    with pytest.raises(DimensionError):
-        q.to("bohr")
-
-
 def test_kinetic_momentum_round_trip():
     mu = units.mu_cs2
     for k in (0.5, 6.0, 12.2):

@@ -11,7 +11,7 @@ thermal molecule counts, density holes).
 # defined before the submodules load: io stamps it into run manifests
 __version__ = "0.1.0"
 
-from .config import RunConfig
+from .config import RunConfig, reference_system
 from .errors import (CalibrationError, ColdpaError, ConfigError,
                      DimensionError, DomainError, GridCapacityError,
                      GridMismatchError, NumericsError, RangeError,
@@ -30,12 +30,11 @@ from .observables import (HoleReport, MomentumPeak, ThermalYield,
 from .potentials import (AdiabaticPair, CoupledSystem, PotentialCurve,
                          PulseEnvelope, Segment, adiabatic_potentials,
                          calibrate_crossing, find_crossing, local_detuning,
-                         local_rabi_period, reference_system, rabi_period)
+                         rabi_period)
 from .propagation import PropagationPlan, TimeSeries, propagate
-from .spectrum import (ContinuumRef, LevelSet, adiabatic_period, beat_period,
-                       bound_populations, continuum_state, count_nodes,
-                       franck_condon, hamiltonian_matrix, solve_levels,
-                       vibrational_period)
+from .spectrum import (ContinuumRef, LevelSet, adiabatic_period,
+                       continuum_state, count_nodes, hamiltonian_matrix,
+                       solve_levels)
 from .units import convert
 
 __all__ = [
@@ -47,14 +46,12 @@ __all__ = [
     "PulseEnvelope", "RadialGrid", "RangeError",
     "ResolutionError", "RunConfig", "Segment", "SpectralBoundsError",
     "ThermalYield", "TimeSeries", "TwoChannelState", "adiabatic_period",
-    "adiabatic_potentials", "apply_kinetic", "beat_period",
-    "bound_populations", "build_adaptive", "build_grid", "build_uniform",
-    "calibrate_crossing", "continuum_state", "convert", "count_nodes",
-    "decompose_impulsive", "detect_hole", "evolve_impulsive",
-    "find_crossing", "find_momentum_peaks", "franck_condon", "from_momentum",
-    "gaussian", "hamiltonian_matrix", "inner", "kinetic_matrix",
-    "level_populations", "local_detuning", "local_rabi_period",
-    "momentum_at_radius", "normalize", "reference_system",
+    "adiabatic_potentials", "apply_kinetic", "build_adaptive", "build_grid",
+    "build_uniform", "calibrate_crossing", "continuum_state", "convert",
+    "count_nodes", "decompose_impulsive", "detect_hole", "evolve_impulsive",
+    "find_crossing", "find_momentum_peaks", "from_momentum", "gaussian",
+    "hamiltonian_matrix", "inner", "kinetic_matrix", "level_populations",
+    "local_detuning", "momentum_at_radius", "normalize", "reference_system",
     "predict_k_peaks", "propagate", "rabi_period", "radius_from_momentum",
-    "solve_levels", "thermal_yield", "to_momentum", "vibrational_period",
+    "solve_levels", "thermal_yield", "to_momentum",
 ]

@@ -23,13 +23,11 @@ from .errors import (ColdpaError, ConfigError, DimensionError, DomainError,
                      GridMismatchError)
 from .grids import TwoChannelState, to_momentum
 from .impulsive import evolve_impulsive, predict_k_peaks
-# level_populations is no longer called here, but stays importable under
-# this module's name, where bench/spans.py wraps it
 from .observables import (detect_hole, find_momentum_peaks, level_populations,
                           radius_from_momentum, thermal_yield)
 from .potentials import find_crossing, rabi_period
 from .propagation import propagate
-from .spectrum import bound_populations, solve_levels
+from .spectrum import adiabatic_period, solve_levels
 from .units import convert, ps2au
 
 
@@ -78,7 +76,7 @@ def cmd_times(args, cfg: RunConfig):
         rows.append((f"detuning_{d_cm:g}", d_cm, rabi_period(w, d) / ps2au))
     delta_l = convert(cfg["system.detuning_cm"], "cm-1", "hartree")
     rows.append(("asymptotic_gap_period", cfg["system.detuning_cm"],
-                 2.0 * np.pi / delta_l / ps2au))
+                 adiabatic_period(delta_l) / ps2au))
     _say(args, f"{'where':<24}{'detuning (1/cm)':>18}{'period (ps)':>14}")
     for name, d_cm, t_ps in rows:
         _say(args, f"{name:<24}{d_cm:>18.4g}{t_ps:>14.2f}")
@@ -188,9 +186,12 @@ def cmd_analyze(args, cfg: RunConfig):
     for ch, name, amp, curve in (("g", "ground", last.g, system.ground),
                                  ("e", "excited", last.e, system.excited)):
         with _phase(timings, f"eigensolve_{name}_s"):
-            energies, pops = bound_populations(curve, grid, amp)
-        for v, (e, p) in enumerate(zip(energies, pops)):
+            levels = solve_levels(curve, grid,
+                                  window=(-np.inf, curve.asymptote))
+            pops = level_populations(grid, amp, levels)
+        for v, (e, p) in enumerate(zip(levels.energies, pops)):
             rows.append((ch, v, float(e), float(p)))
+        del levels          # one channel's states alive at a time
         bound = float(np.sum(pops))
         report[f"bound_fraction_{ch}"] = bound
         report[f"continuum_fraction_{ch}"] = report["populations"][ch] - bound

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -311,3 +311,20 @@ class RunConfig:
         return state, {"kind": kind, "e_g": ref.energy,
                        "de_dn": ref.de_dn, "e_above": ref.e_above,
                        "residual": ref.residual, "solves": ref.solves}
+
+
+def reference_system(mu: float = None,
+                     envelope: PulseEnvelope = None) -> CoupledSystem:
+    """The demonstration system: the defaults above with W = 13.17 1/cm
+    and a working range of [2, 1000] bohr.
+
+    Ground channel: shallow triplet-like Morse with a -C6/R^6 tail, dressed
+    asymptote at -delta_L. Excited channel: Morse with a -C3/R^3 tail whose
+    coefficient is calibrated so the dressed curves cross at 29.3 bohr.
+    ``mu`` and ``envelope``, when given, replace the default Cs2 reduced
+    mass and pulse.
+    """
+    sys = RunConfig.parse("[system]\ncoupling_cm = 13.17\nr_min = 2.0\n"
+                          ).build_system()
+    return replace(sys, mu=sys.mu if mu is None else mu,
+                   envelope=sys.envelope if envelope is None else envelope)

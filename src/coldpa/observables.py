@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError, GridMismatchError, NumericsError
 from .grids import _BLOCK, MomentumSpectrum, RadialGrid, ensure_same_grid
 from .potentials import CoupledSystem
 from .spectrum import LevelSet
@@ -21,8 +21,12 @@ HOLE_SUPPORT_FLOOR = 1e-3   # share of max rho below which detect_hole skips
 
 def level_populations(grid: RadialGrid, amp: np.ndarray,
                       levels: LevelSet) -> np.ndarray:
-    """|<v | amp>|^2 for every level in the set."""
+    """|<v | amp>|^2 = |sum_i w_i psi_v(r_i) amp_i|^2 for every level in
+    the set; ``amp`` holds psi values on ``grid``, complex or real."""
     ensure_same_grid(grid, levels.grid)
+    amp = np.asarray(amp)
+    if amp.shape != (grid.n,):
+        raise GridMismatchError("channel amplitude length != grid size")
     return np.abs(levels.states.conj().T @ (grid.w * amp)) ** 2
 
 
@@ -166,10 +170,6 @@ class HoleReport:
     r_hi: float
     r_deepest: float
     depth: float          # 1 - min(rho_final / rho_initial) inside the hole
-
-    @property
-    def width(self) -> float:
-        return self.r_hi - self.r_lo
 
 
 def _smooth_density(grid: RadialGrid, amp: np.ndarray,

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import CalibrationError, DomainError, RangeError
-from .units import hartree2cm, ps2au
+from .units import ps2au
 
 CROSSING_SCAN = 4096      # points of find_crossing's geometric scan
 CALIBRATION_TOL = 1e-3    # bohr by which calibrate_crossing may miss
@@ -95,7 +95,7 @@ class PotentialCurve:
 
 # pulse envelope -------------------------------------------------------------
 
-_SHAPES = ("sin2", "linear", "const")
+_SHAPES = ("sin2", "const")
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,7 @@ class Segment:
         u = np.clip(u, 0.0, 1.0)
         if self.shape == "const":
             return np.full_like(u, self.f0)
-        if self.shape == "linear":
-            w = u
-        else:
-            w = np.sin(0.5 * np.pi * u) ** 2
-        return self.f0 + (self.f1 - self.f0) * w
+        return self.f0 + (self.f1 - self.f0) * np.sin(0.5 * np.pi * u) ** 2
 
 
 @dataclass(frozen=True)
@@ -265,21 +261,14 @@ def adiabatic_potentials(sys: CoupledSystem, r, f: float = None) -> AdiabaticPai
     return AdiabaticPair(lower=mean - root, upper=mean + root, theta=theta)
 
 
-def rabi_period(coupling: float, detuning: float) -> float:
-    """Population-cycling period pi / sqrt(W^2 + Delta^2) in a.u. (hbar = 1)."""
-    root = math.hypot(coupling, detuning)
-    if root == 0.0:
-        raise DomainError("coupling and detuning both zero: no cycling")
-    return math.pi / root
+def rabi_period(coupling, detuning):
+    """Population-cycling period pi / sqrt(W^2 + Delta^2) in a.u. (hbar = 1).
 
-
-def local_rabi_period(sys: CoupledSystem, r, f: float = None):
-    """Cycling period at r; f defaults to the envelope flat-top value."""
-    if f is None:
-        f = sys.envelope.flat_value
-    d = local_detuning(sys, r)
-    w = sys.coupling * f
-    root = np.hypot(w, d)
+    W and Delta may be arrays; they broadcast. With W the coupling times
+    an overlap and Delta half a level gap this is the two-level beat
+    period, and with Delta = :func:`local_detuning` the cycling period at r.
+    """
+    root = np.hypot(coupling, detuning)
     if np.any(root == 0.0):
         raise DomainError("coupling and detuning both zero: no cycling")
     return np.pi / root
@@ -355,39 +344,3 @@ def calibrate_crossing(sys: CoupledSystem, target_rc: float):
         )
     vc = float(new_sys.ground.value(rc))
     return new_sys, rc, vc
-
-
-def reference_system(box_hi: float = 200.0,
-                        delta_l_cm: float = 140.0,
-                        coupling_cm: float = 13.17,
-                        target_rc: float = 29.3,
-                        mu: float = None,
-                        envelope: PulseEnvelope = None) -> CoupledSystem:
-    """Calibrated heavy-alkali-like demonstration system.
-
-    Ground channel: shallow triplet-like Morse with a -C6/R^6 tail, dressed
-    asymptote at -delta_L. Excited channel: Morse with a -C3/R^3 tail whose
-    coefficient is calibrated so the dressed curves cross at ``target_rc``.
-    """
-    from .units import mu_cs2
-
-    if mu is None:
-        mu = mu_cs2
-    if envelope is None:
-        envelope = PulseEnvelope.default()
-    dl = delta_l_cm / hartree2cm
-    ground = PotentialCurve(
-        de=279.0 / hartree2cm, re=12.0, a=0.35,
-        cn=6890.0, n=6, asymptote=-dl, switch_radius=16.0, name="ground",
-    )
-    excited = PotentialCurve(
-        de=400.0 / hartree2cm, re=10.0, a=0.45,
-        cn=10.0, n=3, asymptote=0.0, switch_radius=14.0, name="excited",
-    )
-    sys = CoupledSystem(
-        ground=ground, excited=excited,
-        coupling=coupling_cm / hartree2cm, mu=mu,
-        envelope=envelope, working_range=(2.0, max(box_hi, 100.0) * 5.0),
-    )
-    sys, _, _ = calibrate_crossing(sys, target_rc)
-    return sys

@@ -8,14 +8,14 @@ dense solve reduces H in place to tridiagonal form once, through the
 Fortran view of the C-ordered matrix (LAPACK dsytrd), and takes every
 level energy from one dsterf pass over that reduction: a window is a
 slice of that array, the bound levels are its entries below the
-asymptote. So a windowed solve, the full solve and the bound-level
-populations give the same energies to the bit. Eigenvectors of the
-tridiagonal matrix are formed only for the kept levels, by MRRR
-(dstemr) for the full spectrum and by inverse iteration (dstein) on
-those energies for a window, and then the reflector product (dormqr).
-A window holds one n x n array, H, plus its kept columns. The
-bound-level populations of an amplitude are its projections on the
-bound window's states.
+asymptote. So a windowed solve and the full solve give the same
+energies to the bit. Eigenvectors of the tridiagonal matrix are formed
+only for the kept levels, by MRRR (dstemr) for the full spectrum and by
+inverse iteration (dstein) on those energies for a window, and then the
+reflector product (dormqr). A window holds one n x n array, H, plus its
+kept columns. The bound-level populations of an amplitude are its
+projections on the bound window's states
+(:func:`~coldpa.observables.level_populations`).
 The continuum start takes no full eigensolve: shift-invert Lanczos at
 the target energy on one in-place LDL^T factorization, whose inertia
 gives the level's place in the box spectrum. ARPACK is asked first for
@@ -35,8 +35,7 @@ from scipy.linalg.lapack import (dormqr, dstein, dstemr, dsterf, dsytrd,
                                  dsytrf, dsytrs)
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import (DomainError, GridMismatchError, NumericsError,
-                     ResolutionError)
+from .errors import DomainError, NumericsError, ResolutionError
 from .grids import (_BLOCK, RadialGrid, _refined, kinetic_matrix,
                     mirror_upper)
 
@@ -210,14 +209,13 @@ def solve_levels(curve, grid: RadialGrid, window=None,
 
     H is reduced in place to tridiagonal form once, and every energy is
     taken from one dsterf pass over all n levels (:func:`_reduce`): the
-    window is a slice of that array. So a windowed solve, the full one
-    and :func:`bound_populations` give the same energies to the bit. Only
-    the eigenvectors of the kept levels are formed, on the tridiagonal
-    matrix, and then LAPACK's blocked reflector product (dormqr) maps
-    them back: MRRR (dstemr) serves the full spectrum, and inverse
-    iteration (dstein) on the window's energies serves a window. A
-    window holds one n x n array, H, plus its kept columns; the full
-    solve holds two.
+    window is a slice of that array. So a windowed solve and the full
+    one give the same energies to the bit. Only the eigenvectors of the
+    kept levels are formed, on the tridiagonal matrix, and then LAPACK's
+    blocked reflector product (dormqr) maps them back: MRRR (dstemr)
+    serves the full spectrum, and inverse iteration (dstein) on the
+    window's energies serves a window. A window holds one n x n array,
+    H, plus its kept columns; the full solve holds two.
 
     Parameters
     ----------
@@ -267,21 +265,6 @@ def solve_levels(curve, grid: RadialGrid, window=None,
                 f"(> {drift_tol:.0e}) under grid doubling; refine the grid"
             )
     return levels
-
-
-def bound_populations(curve, grid: RadialGrid, amp: np.ndarray):
-    """(energies, populations) of the bound levels of one channel: the
-    levels of ``solve_levels(curve, grid, window=(-inf, asymptote))``,
-    ascending, and |<v|amp>|^2 = |sum_i w_i psi_v(r_i) amp_i|^2 for the
-    amplitude ``amp`` (psi values, complex or real) in each, as
-    :func:`~coldpa.observables.level_populations` gives on that set.
-    """
-    amp = np.asarray(amp)
-    if amp.shape != (grid.n,):
-        raise GridMismatchError("channel amplitude length != grid size")
-    asym = float(getattr(curve, "asymptote", 0.0))
-    bound = solve_levels(curve, grid, window=(-np.inf, asym))
-    return bound.energies, np.abs(bound.states.T @ (grid.w * amp)) ** 2
 
 
 @dataclass(frozen=True)
@@ -393,35 +376,10 @@ def continuum_state(curve, grid: RadialGrid, e_target: float) -> ContinuumRef:
     )
 
 
-# characteristic times (all return atomic units) ------------------------------
-
-def beat_period(e_e: float, e_g: float, overlap: float,
-                coupling: float) -> float:
-    """Two-level population-beat period pi / Omega with
-    Omega = sqrt((W * overlap)^2 + ((E_e - E_g)/2)^2), hbar = 1."""
-    omega = math.hypot(coupling * overlap, 0.5 * (e_e - e_g))
-    if omega == 0.0:
-        raise DomainError("degenerate uncoupled pair has no beat")
-    return math.pi / omega
-
-
-def vibrational_period(energies: np.ndarray, v: int) -> float:
-    """Classical-like period 2 pi / (E_{v+1} - E_v) around level v."""
-    if not 0 <= v < len(energies) - 1:
-        raise DomainError(f"level {v} has no upper neighbor")
-    gap = abs(energies[v + 1] - energies[v])
-    if gap == 0.0:
-        raise DomainError("degenerate levels")
-    return 2.0 * math.pi / gap
-
+# characteristic times (atomic units) -----------------------------------------
 
 def adiabatic_period(delta_e: float) -> float:
     """Oscillation period 2 pi / |delta_e| of a two-state superposition."""
     if delta_e == 0.0:
         raise DomainError("degenerate levels")
     return 2.0 * math.pi / abs(delta_e)
-
-
-def franck_condon(grid: RadialGrid, bra: np.ndarray, ket: np.ndarray) -> float:
-    """Real overlap integral between two real level functions."""
-    return float(np.sum(np.real(np.conj(bra) * ket) * grid.w))

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from coldpa.config import reference_system
 from coldpa.grids import (TwoChannelState, apply_kinetic, build_grid,
                           build_uniform, gaussian, inner, normalize,
                           to_momentum)
@@ -19,10 +20,9 @@ from coldpa.observables import (find_momentum_peaks, level_populations,
                                 thermal_yield)
 from coldpa.potentials import (CoupledSystem, PotentialCurve, PulseEnvelope,
                                adiabatic_potentials, find_crossing,
-                               local_rabi_period, reference_system,
-                               rabi_period)
+                               local_detuning, rabi_period)
 from coldpa.propagation import PropagationPlan, propagate
-from coldpa.spectrum import beat_period, continuum_state, solve_levels
+from coldpa.spectrum import continuum_state, solve_levels
 from coldpa.units import hartree2cm, kb_hartree, kinetic_energy, mu_cs2, ps2au
 
 CM = 1.0 / hartree2cm
@@ -74,7 +74,7 @@ class _ExpGap:
 def test_population_cycling_periods():
     sys_ = reference_system()
     rc = find_crossing(sys_)
-    t_on = float(local_rabi_period(sys_, rc, f=1.0)) / ps2au
+    t_on = float(rabi_period(sys_.coupling, local_detuning(sys_, rc))) / ps2au
     t_det = rabi_period(W_CM * CM, 67.4 * CM) / ps2au
     ok = abs(t_on - 1.27) <= 0.01 and abs(t_det - 0.24) <= 0.01
     assert _verdict(ok, "population cycling periods",
@@ -83,7 +83,9 @@ def test_population_cycling_periods():
 
 
 def test_two_channel_beat_periods():
-    # (E_e, E_g, overlap) -> beat period in ps, 5% against reference values.
+    # (E_e, E_g, overlap) -> beat period in ps, 5% against reference values:
+    # the Rabi period of a two-level pair, coupled by W * overlap and
+    # detuned by half its gap.
     # A fifth pair (-134.77, -141.75, 0.23 -> 2.5 ps) sits ~40% off the
     # closed form, far beyond what input rounding can explain, and is left
     # out deliberately.
@@ -95,7 +97,7 @@ def test_two_channel_beat_periods():
     ]
     details, ok = [], True
     for e_e, e_g, ov, ref in rows:
-        t = beat_period(e_e * CM, e_g * CM, ov, W_CM * CM) / ps2au
+        t = rabi_period(W_CM * CM * ov, 0.5 * (e_e - e_g) * CM) / ps2au
         rel = abs(t - ref) / ref
         ok &= rel <= 0.05
         details.append(f"{t:.2f}/{ref}")

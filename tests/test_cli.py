@@ -15,6 +15,9 @@ from coldpa.grids import build_uniform
 from coldpa.units import mu_cs2
 
 FAST_GRID = "[grid]\nmapping = uniform\nn = 768\nr_lo = 2\nr_hi = 100\n"
+# a 2 ps run from the continuum start, snapshots at 0, 1 and 2 ps
+FAST_RUN = (FAST_GRID + "[propagation]\nt_end_ps = 2\nsnapshots_ps = 1\n"
+            + "[initial]\nkind = continuum\nenergy_cm = 3.5e-5\n")
 
 
 def _config(tmp_path, body, name="run.ini"):
@@ -70,11 +73,8 @@ def test_spectrum_tables(tmp_path):
 
 
 def _propagate(tmp_path, tag, coupling_line="coupling_cm = 13.17"):
-    body = (FAST_GRID
-            + "[propagation]\nt_end_ps = 2\nsnapshots_ps = 1\n"
-            + "[initial]\nkind = continuum\nenergy_cm = 3.5e-5\n")
     p = tmp_path / f"{tag}.ini"
-    p.write_text(f"[system]\n{coupling_line}\n" + body, encoding="utf-8")
+    p.write_text(f"[system]\n{coupling_line}\n" + FAST_RUN, encoding="utf-8")
     out = str(tmp_path / tag)
     rc = main(["propagate", "--config", str(p), "--out", out, "--quiet"])
     return rc, out
@@ -144,9 +144,7 @@ def test_propagate_manifest_times_each_phase(tmp_path):
 def test_analyze_after_propagate(tmp_path, monkeypatch):
     rc, run_dir = _propagate(tmp_path, "run")
     assert rc == 0
-    cfg = _config(tmp_path, FAST_GRID
-                  + "[propagation]\nt_end_ps = 2\nsnapshots_ps = 1\n"
-                  + "[initial]\nkind = continuum\nenergy_cm = 3.5e-5\n")
+    cfg = _config(tmp_path, FAST_RUN)
     out = str(tmp_path / "ana")
     scans = []
     locate = potentials.find_crossing
@@ -185,10 +183,42 @@ def test_analyze_after_propagate(tmp_path, monkeypatch):
     assert header == ["k_au", "abs_amp"] and len(cols[0]) > 100
 
 
+def test_analyze_projects_each_channel_on_its_bound_window(tmp_path,
+                                                           monkeypatch):
+    # bench/spans.py times analyze's eigensolves and projections by
+    # rebinding these two names in cli, so analyze makes its calls
+    # through them: one bound-window solve and one projection per channel
+    rc, run_dir = _propagate(tmp_path, "run")
+    assert rc == 0
+    cfg = _config(tmp_path, FAST_RUN)
+    solves, projections = [], []
+    solve, project = cli.solve_levels, cli.level_populations
+
+    def counted_solve(curve, grid, **kwargs):
+        solves.append((curve.name, kwargs))
+        return solve(curve, grid, **kwargs)
+
+    def counted_project(grid, amp, levels):
+        projections.append(levels.n_levels)
+        return project(grid, amp, levels)
+
+    monkeypatch.setattr(cli, "solve_levels", counted_solve)
+    monkeypatch.setattr(cli, "level_populations", counted_project)
+    out = str(tmp_path / "ana")
+    assert main(["analyze", "--config", cfg, "--run", run_dir,
+                 "--out", out, "--quiet"]) == 0
+    system = RunConfig.load(cfg).build_system()
+    assert solves == [
+        ("ground", {"window": (-np.inf, system.ground.asymptote)}),
+        ("excited", {"window": (-np.inf, system.excited.asymptote)})]
+    # every row of the table is one level of those projections
+    _, cols = read_csv(os.path.join(out, "level_populations.csv"))
+    assert len(projections) == 2 and min(projections) > 0
+    assert len(cols[1]) == sum(projections)
+
+
 def test_spectrum_and_analyze_manifests_time_each_eigensolve(tmp_path):
-    cfg = _config(tmp_path, FAST_GRID
-                  + "[propagation]\nt_end_ps = 2\nsnapshots_ps = 1\n"
-                  + "[initial]\nkind = continuum\nenergy_cm = 3.5e-5\n")
+    cfg = _config(tmp_path, FAST_RUN)
     spec = str(tmp_path / "spec")
     assert main(["spectrum", "--config", cfg, "--out", spec, "--quiet"]) == 0
     rc, run_dir = _propagate(tmp_path, "run")

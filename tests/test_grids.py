@@ -5,13 +5,13 @@ import pytest
 from scipy import fft as sfft
 from scipy.linalg import eigh
 
+from coldpa.config import reference_system
 from coldpa.errors import (DomainError, GridCapacityError, GridMismatchError,
                            RangeError)
 from coldpa.grids import (MomentumSpectrum, RadialGrid, TwoChannelState,
                           _mapped_gram, apply_kinetic, build_adaptive,
                           build_grid, build_uniform, ensure_same_grid, from_momentum, gaussian, inner,
                           kinetic_matrix, normalize, same_grid, to_momentum)
-from coldpa.potentials import reference_system
 from coldpa.spectrum import _refined
 from coldpa.units import ps2au
 

@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coldpa.config import reference_system
 from coldpa.errors import DomainError
 from coldpa.grids import build_uniform, gaussian, normalize
 from coldpa.impulsive import (ImpulsivePrediction, decompose_impulsive,
                               evolve_impulsive, predict_k_peaks)
-from coldpa.potentials import (CoupledSystem, PotentialCurve, PulseEnvelope,
-                               reference_system)
+from coldpa.potentials import CoupledSystem, PotentialCurve, PulseEnvelope
 from coldpa.units import convert, ps2au
 
 CM = 1.0 / 219474.6313705

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from coldpa.config import reference_system
 from coldpa.errors import DomainError, GridMismatchError
 from coldpa.grids import (MomentumSpectrum, build_grid, build_uniform,
                           gaussian)
@@ -11,8 +12,8 @@ from coldpa.observables import (ThermalYield, detect_hole,
                                 find_momentum_peaks, level_populations,
                                 momentum_at_radius, radius_from_momentum,
                                 thermal_yield, _smooth_density)
-from coldpa.potentials import find_crossing, reference_system
-from coldpa.spectrum import bound_populations, solve_levels
+from coldpa.potentials import find_crossing
+from coldpa.spectrum import solve_levels
 from coldpa.units import kb_hartree
 
 MU, DE, A, RE = 2000.0, 0.01, 0.8, 4.0
@@ -49,21 +50,26 @@ def test_projection_rejects_foreign_grid(well):
     other = build_uniform(1.5, 30.0, 255, MU)
     with pytest.raises(GridMismatchError):
         level_populations(other, np.zeros(other.n), levels)
+    # and so is an amplitude without one value per grid point
+    for amp in (np.zeros(grid.n - 1), np.zeros((grid.n, 2))):
+        with pytest.raises(GridMismatchError, match="amplitude length"):
+            level_populations(grid, amp, levels)
 
 
 def test_bound_and_continuum_fractions(well):
-    # analyze reports the bound fraction and the channel norm minus it
+    # analyze reports the bound fraction, the populations in the bound
+    # window's levels, and the channel norm minus it
     grid, levels = well
-    n_bound = levels.bound().n_levels
+    bound_levels = solve_levels(_morse, grid, window=(-np.inf, 0.0))
     mix = (math.sqrt(0.7) * levels.state(1)
-           + math.sqrt(0.3) * levels.state(n_bound + 4))
-    bound = np.sum(bound_populations(_morse, grid, mix)[1])
+           + math.sqrt(0.3) * levels.state(bound_levels.n_levels + 4))
+    bound = np.sum(level_populations(grid, mix, bound_levels))
     assert bound == pytest.approx(0.7, abs=1e-9)
     assert np.sum(np.abs(mix) ** 2 * grid.w) - bound == pytest.approx(
         0.3, abs=1e-9)
     ground = levels.state(0)
     assert (np.sum(np.abs(ground) ** 2 * grid.w)
-            - np.sum(bound_populations(_morse, grid, ground)[1])
+            - np.sum(level_populations(grid, ground, bound_levels))
             == pytest.approx(0.0, abs=1e-10))
 
 
@@ -227,7 +233,7 @@ def test_hole_detected_in_notched_packet():
     assert rep.r_lo < 80.0 < rep.r_hi
     assert rep.r_deepest == pytest.approx(80.0, abs=1.0)
     assert 0.6 < rep.depth < 0.85            # smoothing dilutes the raw 0.8
-    assert 3.0 < rep.width < 10.0
+    assert 3.0 < rep.r_hi - rep.r_lo < 10.0
 
 
 def test_hole_requires_depletion():

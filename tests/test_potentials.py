@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from coldpa.config import reference_system
 from coldpa.errors import (CalibrationError, DomainError, RangeError)
 from coldpa.potentials import (CoupledSystem, PotentialCurve, PulseEnvelope,
                                Segment, adiabatic_potentials,
                                calibrate_crossing, find_crossing,
-                               local_detuning, local_rabi_period,
-                               reference_system, rabi_period)
+                               local_detuning, rabi_period)
 from coldpa.units import convert, ps2au
 
 CM = 1.0 / 219474.6313705
@@ -161,6 +161,15 @@ def test_rabi_period_closed_form():
         math.pi / math.hypot(w, d), rel=1e-14)
     with pytest.raises(DomainError):
         rabi_period(0.0, 0.0)
+    # arrays broadcast, entry by entry the scalar closed form
+    ws, ds = w * np.array([1.0, 0.5, 0.0]), np.array([0.0, 30.0, 67.4]) * CM
+    want = [math.pi / math.hypot(a, b) for a, b in zip(ws, ds)]
+    np.testing.assert_allclose(rabi_period(ws, ds), want, rtol=1e-14)
+    np.testing.assert_allclose(rabi_period(w, ds),
+                               [rabi_period(w, b) for b in ds], rtol=1e-14)
+    # one zero root among them is refused
+    with pytest.raises(DomainError):
+        rabi_period(ws, np.array([d, d, 0.0]))
 
 
 def test_local_rabi_longest_at_crossing():
@@ -168,7 +177,7 @@ def test_local_rabi_longest_at_crossing():
     # closes, so the cycling period peaks exactly at the crossing
     sys_, rc, _ = calibrate_crossing(_toy_system(), 29.3)
     r = np.linspace(rc - 5, rc + 50, 300)
-    t = local_rabi_period(sys_, r)
+    t = rabi_period(sys_.coupling, local_detuning(sys_, r))
     assert np.argmin(np.abs(r - rc)) == np.argmax(t)
     assert np.max(t) <= math.pi / sys_.coupling + 1e-9
 

@@ -9,12 +9,11 @@ import pytest
 from coldpa import spectrum
 from coldpa.config import RunConfig
 from coldpa.errors import DomainError, NumericsError, ResolutionError
-from coldpa.grids import build_uniform, gaussian, kinetic_matrix, normalize
+from coldpa.grids import (build_uniform, gaussian, inner, kinetic_matrix,
+                          normalize)
 from coldpa.observables import level_populations
-from coldpa.spectrum import (adiabatic_period, beat_period, bound_populations,
-                             continuum_state, count_nodes, franck_condon,
-                             hamiltonian_matrix, solve_levels,
-                             vibrational_period)
+from coldpa.spectrum import (adiabatic_period, continuum_state, count_nodes,
+                             hamiltonian_matrix, solve_levels)
 from coldpa.units import convert
 
 MU, DE, A, RE = 2000.0, 0.01, 0.8, 4.0
@@ -88,7 +87,7 @@ def test_levels_orthonormal_under_quadrature():
     bound = solve_levels(_morse, g).bound()
     for v in range(bound.n_levels):
         for w in range(v, bound.n_levels):
-            ov = franck_condon(g, bound.state(v), bound.state(w))
+            ov = inner(g, bound.state(v), bound.state(w)).real
             assert ov == pytest.approx(1.0 if v == w else 0.0, abs=1e-10)
 
 
@@ -370,7 +369,7 @@ def test_hamiltonian_refuses_a_non_finite_potential():
     assert (sys_.ground.name, sys_.excited.name) == ("ground", "excited")
     broken = dataclasses.replace(sys_.excited, cn=np.nan)
     for solve in (lambda: solve_levels(broken, grid),
-                  lambda: bound_populations(broken, grid, grid.r),
+                  lambda: solve_levels(broken, grid, window=(-np.inf, 0.0)),
                   lambda: continuum_state(broken, grid, 1e-9)):
         with pytest.raises(DomainError, match=re.escape(
                 f"excited potential is nan at r = {float(grid.r[0])!r}")):
@@ -391,16 +390,17 @@ def _spread_amplitude(grid, bound):
 
 @pytest.mark.parametrize("which", ["n420", "analog"])
 def test_bound_populations_match_windowed_levels(which, analog_grid):
-    # the reference is the full solve's bound columns, by MRRR: the bound
-    # window and bound_populations share one inverse-iteration solve
+    # the reference is the full solve's bound columns, by MRRR; analyze
+    # projects on the bound window's, by inverse iteration
     sys_, grid = (_reference_grid(420, 60.0) if which == "n420"
                   else analog_grid)
     for curve in (sys_.ground, sys_.excited):
         bound = solve_levels(curve, grid).bound()
         amp = _spread_amplitude(grid, bound)
         want = level_populations(grid, amp, bound)
-        energies, pops = bound_populations(curve, grid, amp)
-        np.testing.assert_allclose(energies, bound.energies, rtol=1e-13,
+        win = solve_levels(curve, grid, window=(-np.inf, curve.asymptote))
+        pops = level_populations(grid, amp, win)
+        np.testing.assert_allclose(win.energies, bound.energies, rtol=1e-13,
                                    atol=0.0)
         np.testing.assert_allclose(pops, want, rtol=0.0, atol=1e-12)
         # the amplitude reaches the continuum: the bound part is not all
@@ -420,10 +420,9 @@ def test_a_level_on_the_asymptote_is_not_bound():
     assert full.energies[8] == on_level.asymptote
     bound = full.bound()
     win = solve_levels(on_level, g, window=(-np.inf, on_level.asymptote))
-    energies, pops = bound_populations(on_level, g, g.r)
-    assert bound.n_levels == win.n_levels == len(energies) == len(pops) == 8
+    pops = level_populations(g, g.r, win)
+    assert bound.n_levels == win.n_levels == len(pops) == 8
     assert np.array_equal(win.energies, bound.energies)
-    assert np.array_equal(energies, bound.energies)
     # a window's upper end is open at every level, not only the asymptote
     e = full.energies
     assert solve_levels(on_level, g, window=(e[2], e[6])).n_levels == 3
@@ -440,8 +439,8 @@ _named_morse.name = "ground"
 @pytest.mark.parametrize("grid_name", ["morse512", "n420"])
 def test_one_reduction_gives_every_energy_to_the_bit(grid_name, monkeypatch):
     # T plus fixed symmetric +-2 ulp noise: the energies of the windowed
-    # solve, the full one and bound_populations must still agree to the
-    # bit, as all three come from one dsterf pass over one reduction
+    # solve and the full one must still agree to the bit, as both come
+    # from one dsterf pass over one reduction
     if grid_name == "morse512":
         grid = build_uniform(1.5, 30.0, 512, MU)
         curves = (_morse,)
@@ -462,8 +461,6 @@ def test_one_reduction_gives_every_energy_to_the_bit(grid_name, monkeypatch):
         full = solve_levels(curve, grid)
         win = solve_levels(curve, grid, window=(-np.inf, asym))
         assert np.array_equal(win.energies, full.bound().energies)
-        energies, _ = bound_populations(curve, grid, grid.r)
-        assert np.array_equal(energies, win.energies)
         e = full.energies
         lo, hi = 0.5 * (e[1] + e[2]), 0.5 * (e[5] + e[6])
         assert np.array_equal(
@@ -494,13 +491,9 @@ def _window_solve(curve, g):
     return solve_levels(curve, g, window=(-1.0, 0.0))
 
 
-def _bound_solve(curve, g):
-    return bound_populations(curve, g, g.r)
-
-
 # MRRR (dstemr) serves the full spectrum alone, inverse iteration (dstein)
 # a window alone; every solve reaches the other routines
-_SOLVES = {"dstemr": (_full_solve,), "dstein": (_window_solve, _bound_solve)}
+_SOLVES = {"dstemr": (_full_solve,), "dstein": (_window_solve,)}
 
 
 @pytest.mark.parametrize("routine,info", [("dsytrd", -2), ("dsterf", 1),
@@ -514,8 +507,7 @@ def test_lapack_failure_names_routine_and_channel(routine, info,
                         lambda *a, **kw: real(*a, **kw)[:-1] + (info,))
     want = re.escape(f"LAPACK {routine} failed on the ground Hamiltonian "
                      f"(info {info})")
-    for solve in _SOLVES.get(routine,
-                             (_full_solve, _window_solve, _bound_solve)):
+    for solve in _SOLVES.get(routine, (_full_solve, _window_solve)):
         with pytest.raises(NumericsError, match=want):
             solve(_named_morse, g)
         # an unnamed curve is reported as a channel
@@ -547,34 +539,13 @@ def test_dense_solves_hold_at_most_two_matrices(analog_grid):
         # a window holds H and its kept columns, not two n x n arrays
         assert _peak_n2(lambda: solve_levels(curve, grid, window=bound),
                         n) <= 1.4
+        # and so does analyze's projection on the bound window
         amp = gaussian(grid, 60.0, 10.0, k0=0.3)
-        assert _peak_n2(lambda: bound_populations(curve, grid, amp),
-                        n) <= 1.5
+        assert _peak_n2(lambda: level_populations(
+            grid, amp, solve_levels(curve, grid, window=bound)), n) <= 1.5
 
 
 # --- characteristic periods -------------------------------------------------------
-
-def test_beat_period_closed_form():
-    w, ov, ee, eg = 6e-5, 0.2, 1.0e-4, 0.4e-4
-    om = math.hypot(w * ov, 0.5 * (ee - eg))
-    assert beat_period(ee, eg, ov, w) == pytest.approx(math.pi / om, rel=1e-12)
-    # pure-coupling and pure-detuning limits
-    assert beat_period(1.0, 1.0, 1.0, w) == pytest.approx(math.pi / w)
-    assert beat_period(ee, eg, 0.0, w) == pytest.approx(
-        2.0 * math.pi / (ee - eg))
-    with pytest.raises(DomainError):
-        beat_period(1.0, 1.0, 0.0, w)
-
-
-def test_vibrational_period():
-    e = np.array([0.0, 2e-4, 3.5e-4])
-    assert vibrational_period(e, 0) == pytest.approx(2 * math.pi / 2e-4)
-    assert vibrational_period(e, 1) == pytest.approx(2 * math.pi / 1.5e-4)
-    with pytest.raises(DomainError):
-        vibrational_period(e, 2)
-    with pytest.raises(DomainError):
-        vibrational_period(np.array([1.0, 1.0]), 0)
-
 
 def test_adiabatic_period():
     assert adiabatic_period(2e-4) == pytest.approx(math.pi * 1e4)
@@ -587,7 +558,7 @@ def test_franck_condon_with_gaussian():
     g = build_uniform(1.5, 30.0, 512, MU)
     bound = solve_levels(_morse, g).bound()
     probe = gaussian(g, RE, 0.4)
-    fc = np.array([franck_condon(g, bound.state(v), probe.real)
+    fc = np.array([inner(g, bound.state(v), probe.real).real
                    for v in range(8)])
     assert np.sum(fc**2) <= 1.0 + 1e-9
     assert fc[0] ** 2 > 0.5                 # probe sits on the well bottom

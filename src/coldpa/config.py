@@ -10,8 +10,8 @@ on the way in.
 
 from __future__ import annotations
 
-import configparser
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,6 +40,63 @@ def _floats(raw):
     if not raw:
         return ()
     return tuple(_f(tok) for tok in raw.replace(",", " ").split())
+
+
+# configparser's section header and key = value lines (its SECTCRE and
+# OPTCRE for the delimiters = and :)
+_HEADER = re.compile(r"\[(?P<header>.+)\]")
+_OPTION = re.compile(r"(?P<option>.*?)\s*[=:]\s*(?P<value>.*)$")
+
+
+def _read_ini(text: str) -> dict[str, dict[str, str]]:
+    """{section: {key: raw value}} of INI text, read as
+    ``configparser.ConfigParser(interpolation=None)`` reads it: full-line
+    ``#`` and ``;`` comments, ``=`` or ``:`` after a key that is
+    lower-cased, values stripped and continued on more deeply indented
+    lines, blank lines inside a value kept and trailing ones dropped, the
+    [DEFAULT] keys in every section, and a line outside any section, a
+    line that is neither header nor key, and a repeated section or key
+    refused. One pass, without the section proxies and converter tables
+    that configparser builds for every parse."""
+    sections, default = {}, {}
+    cur = key = None
+    indent = 0
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        value = line.strip()
+        if value[:1] in ("#", ";"):
+            continue
+        if not value:
+            if cur is not None and key:
+                cur[key].append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if cur is not None and key and depth > indent:
+            cur[key].append(value)
+            continue
+        indent, key = depth, None
+        head = _HEADER.match(value)
+        if head and head["header"] == "DEFAULT":
+            cur = default
+        elif head and head["header"] in sections:
+            raise ConfigError(f"config does not parse: line {lineno}: "
+                              f"section [{head['header']}] repeated")
+        elif head:
+            cur = sections[head["header"]] = {}
+        else:
+            opt = _OPTION.match(value)
+            if cur is None or opt is None or not opt["option"]:
+                raise ConfigError(
+                    f"config does not parse: line {lineno}: {value!r} is "
+                    "not a [section] header or a key = value line "
+                    "inside a section")
+            key = opt["option"].rstrip().lower()
+            if key in cur:
+                raise ConfigError(f"config does not parse: line {lineno}: "
+                                  f"key {key!r} repeated in its section")
+            cur[key] = [opt["value"]]
+    return {name: {k: "\n".join(v).rstrip()
+                   for k, v in {**default, **sec}.items()}
+            for name, sec in sections.items()}
 
 
 # section -> key -> (parser, default)
@@ -130,17 +187,12 @@ class RunConfig:
     # ---- construction -----------------------------------------------
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
-        cp = configparser.ConfigParser(interpolation=None)
-        try:
-            cp.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"config does not parse: {exc}") from exc
         values = {}
-        for sec in cp.sections():
+        for sec, items in _read_ini(text).items():
             if sec not in _SCHEMA:
                 raise ConfigError(f"unknown section [{sec}]")
             values[sec] = {}
-            for key, raw in cp[sec].items():
+            for key, raw in items.items():
                 if key not in _SCHEMA[sec]:
                     raise ConfigError(f"unknown key {sec}.{key}")
                 parser, _ = _SCHEMA[sec][key]

@@ -1,5 +1,5 @@
 """Two-channel time propagation: Chebyshev and Lanczos expansions of
-exp(-i H dt).
+exp(-i H dt), and exact propagators from eigendecompositions of H.
 
 The pulse envelope is frozen at the midpoint of every step, which is exact
 on constant segments and second-order accurate on ramps; ramp segments get
@@ -20,19 +20,25 @@ in which H is real symmetric (Kosloff, Annu. Rev. Phys. Chem. 45, 145
 (1994)); the engine steps only phi, as a C-ordered channel-major (2, n)
 complex block, ground row first, and psi = phi / sqrt(J) is formed only
 for a stored snapshot. Each Chebyshev term applies
-2 A = 2 (H - e_mid) / half_span as one pre-scaled operator. Grids of up to
-256 points take the dense path: the operator is one real symmetric
-2n x 2n matrix, block-diagonal in the channels with the coupling at
-(i, i + n), and each term is one matmul on the real (2n, 2) [re, im] view
-of the phi block. There a ramp takes one Chebyshev expansion per step, all
-steps of a ramp interval from one set of constants (its dt fixes the
-coefficients, the order and the phase; a step rewrites only the 2n
-coupling entries), each term one matmul into its slot of one term buffer
-kept on the engine and one subtraction, and a series of up to 64 terms
-folded once. A constant interval is propagated exactly: H(f) at its
-envelope value f is decomposed once, and reused while f is unchanged; the
-state after j steps is V exp(-i E j dt) V^T phi, taken in blocks of up to
-``BLOCK_STEPS`` steps, one GEMM each.
+2 A = 2 (H - e_mid) / half_span as one pre-scaled operator.
+
+Grids of up to 256 points take the dense path, where H(f) is one real
+symmetric 2n x 2n matrix, block-diagonal in the channels with the
+coupling at (i, i + n); as an operator it is one matmul on the real
+(2n, 2) [re, im] view of the phi block. Every step there comes from
+eigendecompositions H(f) = V diag(E) V^T. A constant interval is
+propagated exactly: H(f) at its envelope value f is decomposed once, and
+reused while f is unchanged; the state after j steps is
+V exp(-i E j dt) V^T phi, taken in blocks of up to ``BLOCK_STEPS`` steps,
+one GEMM each. A ramp interval interpolates the exact one-step
+propagator U(f) = exp(-i H(f) dt) in the envelope value (Trefethen,
+Approximation Theory and Approximation Practice, SIAM 2013): U is formed
+at p + 1 first-kind Chebyshev nodes spanning the interval's f, and a step
+at f is sum_k L_k(f) U_k phi, with L_k the Lagrange basis of the nodes.
+By Duhamel's formula |d^k U / df^k| <= (W dt)^k, so the interpolation
+error is at most 2 rho^(p+1) / (p+1)! with rho = (f_hi - f_lo) W dt / 4,
+and p is the least for which that reaches ``cheb_tol``.
+
 Larger grids apply the operator to the phi block through transforms: the
 kinetic energy as J^-1/2 times two complex-FFT convolutions of J^-1/2 phi
 against the real cot table, each its Toeplitz and Hankel halves on one
@@ -53,10 +59,10 @@ matrix, so the narrow energy band the state fills, not the grid's span,
 sets the number of applications (13 against 20 Chebyshev terms at
 dt = 0.01 ps on a 1400-point grid). It stops where Saad's a-posteriori
 error estimate (SIAM J. Numer. Anal. 29, 209 (1992)) reaches ``cheb_tol``,
-the one tolerance of both series. The same Lanczos, at shift 0 and scale
-1, finds the top on both paths. Dense ramps and constant-interval blocks,
-where the Lanczos bookkeeping costs more than the terms it saves, stay
-Chebyshev. Both paths time their steps (``series_s`` in
+the one tolerance of every series. The same Lanczos, at shift 0 and scale
+1, finds the top on both paths. Constant-interval blocks, where the
+Lanczos bookkeeping costs more than the terms it saves, stay Chebyshev.
+Both paths time their ramp and series steps (``series_s`` in
 :attr:`TimeSeries.meta`) and the Lanczos top (``bound_s``), and the FFT
 path the convolutions of its steps (``kinetic_s``).
 
@@ -71,7 +77,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.linalg import block_diag, eigh
@@ -132,11 +137,9 @@ class PropagationPlan:
 _SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 # most steps of a constant interval on the FFT path taken from one expansion
 BLOCK_STEPS = 16
-# Chebyshev terms held between two folds into the accumulators, on the FFT
-# path and on the dense path, where a whole ramp series of the usual order
-# fits; even, so that slot k of a fold has the parity of its term k
+# Chebyshev terms held between two folds into the accumulators; even, so
+# that slot k of a fold has the parity of its term k
 _FOLD = 8
-_DENSE_FOLD = 64
 # relative residual at which the Lanczos top of the spectrum is accepted
 _TOP_TOL = 1e-6
 
@@ -186,13 +189,15 @@ class _Engine:
         w_max = sys.coupling * sys.envelope.flat_value
         t0 = time.perf_counter()
         self.lambda_max = self._top(w_max)
+        self._op = self._op_key = None    # the series build their own
         self.bound_s = time.perf_counter() - t0
         lo = float(self.v.min()) - w_max
         pad = margin * (self.lambda_max - lo)
         self.e_lo, self.e_hi = lo - pad, self.lambda_max + pad
         self.e_mid = 0.5 * (self.e_hi + self.e_lo)
         self.half_span = 0.5 * (self.e_hi - self.e_lo)
-        self.order_counts: dict[int, int] = {}   # per order or Lanczos m
+        # per Chebyshev order, Lanczos m or dense-ramp node count
+        self.order_counts: dict[int, int] = {}
         self.eigensolves = 0
         self.eigen_orthogonality = 0.0
         self.series_s = 0.0
@@ -212,12 +217,13 @@ class _Engine:
         operator op(x, out), built once per (shift, scale, dtype, path) and
         kept until the next call.
 
-        Dense path (``h_dense`` set): ``partial(np.matmul, M)`` with M the
-        real symmetric 2n x 2n phi-representation matrix, block-diagonal in
-        the channels, the coupling w_eff scale at (i, i + n) and (i + n, i);
-        it acts on a channel-major phi block as a 2n vector or its real
-        (2n, 2) [re, im] view. Each call rewrites only those 2n entries,
-        through their precomputed flat indices.
+        Dense path (``h_dense`` set): one matmul with M, the real symmetric
+        2n x 2n phi-representation matrix, block-diagonal in the channels,
+        the coupling w_eff scale at (i, i + n) and (i + n, i). It acts on a
+        C-ordered channel-major phi block: a complex one through its real
+        (2n, 2) [re, im] view, a real one as a 2n column. Each call
+        rewrites only those 2n entries, through their precomputed flat
+        indices.
 
         FFT path: op writes it for a channel-major (2, n) block x of
         ``dtype``. The kinetic part is J^-1/2 :func:`grids._mapped_gram`
@@ -242,8 +248,15 @@ class _Engine:
                                             self.v.shape).astype(dtype))
             self._op_key = key
         if dense:
-            self._op.reshape(-1)[self._coupling_at] = w_eff * scale
-            return partial(np.matmul, self._op)
+            m, size = self._op, 2 * self.grid.n
+            m.reshape(-1)[self._coupling_at] = w_eff * scale
+
+            def apply(x, out):
+                np.matmul(m, x.view(float).reshape(size, -1),
+                          out=out.view(float).reshape(size, -1))
+                return out
+
+            return apply
         row, diag, inv_rj = self._op
         ws = w_eff * scale
 
@@ -304,8 +317,6 @@ class _Engine:
         # a fixed start vector, drawn in (node, channel) order, so the
         # measured top and bound_matvecs repeat from run to run
         x = np.random.default_rng(0).standard_normal(2 * n).reshape(n, 2).T
-        if self.h_dense is not None:
-            x = x.ravel()       # the dense operator takes a 2n vector
         op = self._operator(w, 0.0, 1.0)
         for _, _, d, e, b in self._lanczos(op, np.ascontiguousarray(x), 32):
             m = len(d)
@@ -385,20 +396,15 @@ class _Engine:
         return coefs
 
     def _buffer(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """The term buffer, kept on the engine from call to call: its slot
-        views, and its two halves as real (slots / 2, size) matrices.
-        Slot k sits in half k % 2, so the terms of one parity are
-        contiguous rows. A slot is a phi block: its real (2n, 2) [re, im]
-        view on the dense path, a complex (2, n) block on the FFT path; the
-        buffer holds ``_DENSE_FOLD`` and ``_FOLD`` slots there."""
+        """The term buffer, kept on the engine from call to call: its
+        ``_FOLD`` slot views, each a complex (2, n) phi block, and its two
+        halves as real (slots / 2, size) matrices of the slots' [re, im]
+        views. Slot k sits in half k % 2, so the terms of one parity are
+        contiguous rows."""
         if self._terms is None:
-            dense = self.h_dense is not None
-            shape = (2 * self.grid.n, 2) if dense else (2, self.grid.n)
-            size = _DENSE_FOLD if dense else _FOLD
-            ring = np.empty((2, size // 2) + shape,
-                            dtype=float if dense else complex)
-            self._terms = ([ring[k % 2, k // 2] for k in range(size)],
-                           ring.view(float).reshape(2, size // 2, -1))
+            ring = np.empty((2, _FOLD // 2, 2, self.grid.n), dtype=complex)
+            self._terms = ([ring[k % 2, k // 2] for k in range(_FOLD)],
+                           ring.view(float).reshape(2, _FOLD // 2, -1))
         return self._terms
 
     def _series(self, dt: float, m: int = 1):
@@ -407,10 +413,9 @@ class _Engine:
         e^{-i e_mid j dt} sum_k c_k(j alpha) T_k(A) phi, with
         A = (H - e_mid) / half_span, alpha = half_span dt and apply2a the
         :meth:`_operator` at (e_mid, 2 / half_span). What dt and m fix is
-        taken here once: the coefficient rows, their order and the phases.
-        A run sets only the coupling of its f, so the steps of one ramp
-        interval share it. Each run goes to order_counts, the wall time to
-        series_s.
+        taken here once: the coefficient rows, their order and the phases;
+        a run sets only the coupling of its f. Each run goes to
+        order_counts, the wall time to series_s.
 
         Each term is one application of apply2a into its slot of
         :meth:`_buffer` and one in-place subtraction. A is real, so each
@@ -440,7 +445,7 @@ class _Engine:
             t0 = time.perf_counter()
             apply2a = self._operator(self.w_peak * f, self.e_mid,
                                      2.0 / self.half_span, complex)
-            x.view(complex).reshape(phi.shape)[...] = phi
+            x[...] = phi
             guard = 100.0 * float(np.abs(x).max()) + 1e-300
             acc = np.zeros((2, m, halves.shape[2]))
             # T_0 = phi, T_1 = A T_0, T_k = 2 A T_(k-1) - T_(k-2)
@@ -476,42 +481,13 @@ class _Engine:
 
         return run
 
-    def steps(self, phi: np.ndarray, dt: float, f_mid: np.ndarray,
-              const: bool):
-        """Yield the (2, n) phi block after each step of an interval with
-        envelope values f_mid at the step midpoints. A ramp takes one
-        expansion per step: Chebyshev on the dense path, all from one
-        :meth:`_series`, and Lanczos (:meth:`_krylov`) on the FFT path. A
-        constant interval takes one Chebyshev expansion per block of up to
-        ``BLOCK_STEPS`` steps on the FFT path; on the dense path it is
-        exact: the coupled H(f), ``h_dense`` with W f on its two
-        coupling diagonals, is decomposed as V diag(E) V^T, and with
-        c = V^T phi the state after j steps is phi_j = V exp(-i E j dt) c,
-        taken in blocks of up to ``BLOCK_STEPS`` steps: one GEMM of V
-        against the block's phased columns of c. The decomposition is kept
-        while f is unchanged, so snapshots that split a constant interval
-        add no eigensolve."""
-        if not const and self.h_dense is None:
-            for f in f_mid:
-                phi = self._krylov(phi, dt, f)
-                yield phi
-            return
-        if not const or self.h_dense is None:
-            block = BLOCK_STEPS if const else 1
-            runs = {}
-            for i in range(0, len(f_mid), block):
-                m = min(block, len(f_mid) - i)
-                if m not in runs:
-                    runs[m] = self._series(dt, m)
-                states = runs[m](phi, f_mid[i])
-                yield from states
-                phi = states[-1]
-            return
-        f = f_mid[0]
+    def _decompose(self, f: float) -> tuple[np.ndarray, np.ndarray]:
+        """(E, V) of the coupled H(f) = V diag(E) V^T on the dense path,
+        ``h_dense`` with W f on its two coupling diagonals. The last one is
+        kept while f is unchanged, and freed before the next; each solve
+        counts in eigensolves and its |V^T V - 1| in eigen_orthogonality."""
         if self._eigen_f != f:
-            # freed before the next decomposition: the last one, and the
-            # scaled operator and the term buffer (rebuilt by the next ramp)
-            self._eigen = self._op = self._op_key = self._terms = None
+            self._eigen = None
             h = self.h_dense.copy()
             h.reshape(-1)[self._coupling_at] = self.w_peak * f
             # in place on the Fortran view of the symmetric copy: the LAPACK
@@ -522,11 +498,92 @@ class _Engine:
             gram = v.T @ v
             gram[np.diag_indices_from(gram)] -= 1.0
             dev = float(max(gram.max(), -gram.min()))
-            del gram        # this frame, and its locals, outlive the yields
             self.eigen_orthogonality = max(self.eigen_orthogonality, dev)
             self._eigen, self._eigen_f = (e, v), f
-        e, v = self._eigen
+        return self._eigen
+
+    def _propagator(self, f: float, dt: float, out: np.ndarray):
+        """U = V exp(-i E dt) V^T of :meth:`_decompose` (f) into the complex
+        2n x 2n ``out``, as one real GEMM: V times the [re, im] view of the
+        C-ordered exp(-i E dt)[:, None] V^T, formed in place (a mixed-type
+        product would add a cast buffer)."""
+        e, v = self._decompose(f)
+        x = np.array(v.T, dtype=complex, order="C")
+        x *= np.exp(-1j * dt * e)[:, None]
+        np.matmul(v, x.view(float), out=out.view(float))
+
+    def _ramp(self, phi: np.ndarray, dt: float, f_mid: np.ndarray):
+        """Yield exp(-i H(f) dt) phi at each f of f_mid in turn on the dense
+        path, by Chebyshev interpolation in f between exact propagators
+        (see the module docstring). The p + 1 node propagators U_k form
+        one complex ((p + 1) 2n, 2n) table; a step is one matrix-vector
+        product of the table with phi and one sum weighted by the Lagrange
+        basis at its f, all of the interval's weights taken at once. Each
+        step adds p + 1 to order_counts, and the interval's wall time,
+        table included, goes to series_s. The table is freed when the
+        interval ends."""
+        t0 = time.perf_counter()
+        lo, hi = float(f_mid.min()), float(f_mid.max())
+        rho = 0.25 * (hi - lo) * abs(self.w_peak * dt)
+        p = 0
+        while 2.0 * rho ** (p + 1) / math.factorial(p + 1) > self.tol:
+            p += 1
+        nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(
+            np.pi * (2 * np.arange(p + 1) + 1) / (2 * p + 2))
+        size = 2 * self.grid.n
+        table = np.empty((p + 1, size, size), dtype=complex)
+        for f, u in zip(nodes, table):
+            self._propagator(f, dt, out=u)
+        table = table.reshape(-1, size)
+        # L_k(f) = prod_{j != k} (f - f_j) / (f_k - f_j), one row per f
+        gap = nodes[:, None] - nodes
+        np.fill_diagonal(gap, 1.0)
+        ratio = (f_mid[:, None, None] - nodes) / gap
+        ratio[:, np.arange(p + 1), np.arange(p + 1)] = 1.0
+        weights = ratio.prod(axis=2)
+        self.series_s += time.perf_counter() - t0
+        for w in weights:
+            t0 = time.perf_counter()
+            phi = (w @ (table @ phi.reshape(-1)).reshape(p + 1, -1)).reshape(
+                phi.shape)
+            self.order_counts[p + 1] = self.order_counts.get(p + 1, 0) + 1
+            self.series_s += time.perf_counter() - t0
+            yield phi
+
+    def steps(self, phi: np.ndarray, dt: float, f_mid: np.ndarray,
+              const: bool):
+        """Yield the (2, n) phi block after each step of an interval with
+        envelope values f_mid at the step midpoints. On the FFT path a ramp
+        takes one Lanczos exponential (:meth:`_krylov`) per step, and a
+        constant interval one Chebyshev expansion (:meth:`_series`) per
+        block of up to ``BLOCK_STEPS`` steps. The dense path is exact to
+        ``tol``: a ramp interpolates the node propagators of :meth:`_ramp`,
+        and a constant interval, with V diag(E) V^T = H(f) from
+        :meth:`_decompose` and c = V^T phi, has phi_j = V exp(-i E j dt) c
+        after j steps, taken in blocks of up to ``BLOCK_STEPS`` steps: one
+        GEMM of V against the block's phased columns of c. A decomposition
+        is kept while f is unchanged, so snapshots that split a constant
+        interval add no eigensolve."""
+        if self.h_dense is None:
+            if not const:
+                for f in f_mid:
+                    phi = self._krylov(phi, dt, f)
+                    yield phi
+                return
+            runs = {}
+            for i in range(0, len(f_mid), BLOCK_STEPS):
+                m = min(BLOCK_STEPS, len(f_mid) - i)
+                if m not in runs:
+                    runs[m] = self._series(dt, m)
+                states = runs[m](phi, f_mid[i])
+                yield from states
+                phi = states[-1]
+            return
         phi = np.ascontiguousarray(phi, dtype=complex)
+        if not const:
+            yield from self._ramp(phi, dt, f_mid)
+            return
+        e, v = self._decompose(f_mid[0])
         c = (v.T @ phi.view(float).reshape(-1, 2)).view(complex)[:, 0]
         # exp(-i E j dt), j = 1..BLOCK_STEPS, as one outer product
         table = np.exp(np.outer(e, -1j * dt * np.arange(
@@ -611,7 +668,7 @@ def propagate(sys: CoupledSystem, grid: RadialGrid, plan: PropagationPlan,
     dx = np.full(grid.n, grid.dx)
 
     def pops(p):
-        return (p.real ** 2 + p.imag ** 2) @ dx
+        return (np.abs(p) ** 2) @ dx
 
     rec_t, rec_p = [t], [pops(phi)]
     snaps = []

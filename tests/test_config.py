@@ -1,7 +1,9 @@
+import configparser
+
 import numpy as np
 import pytest
 
-from coldpa.config import RunConfig
+from coldpa.config import RunConfig, _read_ini
 from coldpa.errors import ConfigError, GridCapacityError
 from coldpa.potentials import find_crossing
 from coldpa.units import convert, coupling_from_intensity, mu_cs2, ps2au
@@ -51,6 +53,41 @@ def test_bad_value_names_its_path():
 def test_unparable_text_rejected():
     with pytest.raises(ConfigError, match="does not parse"):
         RunConfig.parse("[system\ncoupling_cm = 1")
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "[a]\nx = 1\nY: 2\nz=3\nw:=4\n",
+    "# head\n[a]\n; note\nx = 1\n   # indented note\n",
+    "[a]\nx = 1,\n  2\n\n  3\n# note\n   4\ny = 5\n\n\n",
+    "[a]\n  x = 1\n  y = 2\n    more\n[b]\n",
+    "[a]\nx = 1\n    [b]\ny =\n",
+    "[a]\na:b = c=d\nkey with space = v\n",
+    "[a] trailing\nx = 1\n[a b]\n",
+    "\r\n[a]\r\nx = 1\r\n  2\r\n",
+    "[DEFAULT]\nk = 5\n[a]\n[b]\nk = 6\n[DEFAULT]\nj = 7\n",
+    "[a]\nx = 1\n[a]\n",
+    "[a]\nx = 1\nX = 2\n",
+    "[DEFAULT]\nx = 1\n[DEFAULT]\nx = 2\n",
+    "x = 1\n[a]\n",
+    "  [a]\n",
+    "[a]\njunk\n",
+    "[a\nx = 1\n",
+    "[a]\n= 1\n",
+    "[]\nx = 1\n",
+])
+def test_ini_reader_reads_as_configparser(text):
+    # configparser(interpolation=None) is the reference: the same sections,
+    # keys and raw values, or a refusal where it raises
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read_string(text)
+    except configparser.Error:
+        with pytest.raises(ConfigError, match="does not parse"):
+            _read_ini(text)
+        return
+    assert _read_ini(text) == {sec: dict(cp.items(sec))
+                               for sec in cp.sections()}
 
 
 def test_coupling_source_rules():

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -330,34 +331,36 @@ def test_eigen_path_matches_chebyshev_kernels(mapping, n, dt_ps):
     fft = _Engine(sys_, grid, tol=1e-14, margin=0.05)
     fft.h_dense = None
     dt = dt_ps * ps2au
-    # one step: dense and transform-kernel recurrences, on pair as phi
-    ref = eng._series(dt)(pair, 1.0)[0]
+    # one step: a dense ramp step at one f, exact from its one node, and
+    # the transform-kernel recurrence, on pair as phi
+    (ref,) = eng.steps(pair, dt, np.ones(1), const=False)
     np.testing.assert_allclose(fft._series(dt)(pair, 1.0)[0], ref,
                                rtol=0, atol=1e-12)
-    # the exact path against both recurrences after 200 steps, and
-    # against the dense one after 1000
+    # the exact blocks, on the ramp's decomposition, against the
+    # recurrence after 200 steps, and against 1000 chained ramp steps
     exact = list(eng.steps(pair, dt, np.ones(1000), const=True))
     assert eng.eigensolves == 1 and len(exact) == 1000
     assert eng.eigen_orthogonality < 1e-12
-    dense = kernel = pair
-    dense_run, kernel_run = eng._series(dt), fft._series(dt)
+    kernel, kernel_run = pair, fft._series(dt)
     for k in range(200):
-        dense = dense_run(dense, 1.0)[0]
         kernel = kernel_run(kernel, 1.0)[0]
-    np.testing.assert_allclose(exact[199], dense, rtol=0, atol=1e-10)
     np.testing.assert_allclose(exact[199], kernel, rtol=0, atol=1e-10)
-    for k in range(800):
-        dense = dense_run(dense, 1.0)[0]
-    np.testing.assert_allclose(exact[-1], dense, rtol=0, atol=1e-10)
+    *_, chained = eng.steps(pair, dt, np.ones(1000), const=False)
+    np.testing.assert_allclose(exact[-1], chained, rtol=0, atol=1e-10)
+    assert eng.eigensolves == 1
 
 
-def test_ramp_only_plan_does_no_eigensolve():
+def test_ramp_only_plan_does_one_eigensolve_per_node():
+    # the rise interpolates between propagators at p + 1 nodes in f, one
+    # decomposition each, and a step takes one product with each
     sys_, grid, init = _offset_pair()
     plan = PropagationPlan.from_ps(t_start=0.0, t_end=2.0, dt_ramp=0.004)
     ts = propagate(sys_, grid, plan, init)
     assert len(ts.t) - 1 == 500
-    assert ts.meta["eigensolves"] == 0
-    assert ts.meta["matvecs"] == 500 * ts.meta["max_order"]
+    nodes = ts.meta["max_order"]
+    assert ts.meta["order_counts"] == {nodes: 500} and nodes > 1
+    assert ts.meta["eigensolves"] == nodes
+    assert ts.meta["matvecs"] == 500 * nodes
 
 
 def test_flat_top_and_dark_tail_do_one_eigensolve_each():
@@ -367,16 +370,19 @@ def test_flat_top_and_dark_tail_do_one_eigensolve_each():
     ts = propagate(sys_, grid, plan, init)
     meta = ts.meta
     assert len(ts.t) - 1 == 800 + 2000 + 200
-    assert meta["eigensolves"] == 2
-    # one matvec per Chebyshev term, on the 800 ramp steps only
-    assert meta["matvecs"] == 800 * meta["max_order"]
+    # one decomposition per constant interval and per node of each ramp;
+    # one product per node, on the 800 ramp steps only
+    nodes = meta["max_order"]
+    assert meta["order_counts"] == {nodes: 800}
+    assert meta["eigensolves"] == 2 + 2 * nodes
+    assert meta["matvecs"] == 800 * nodes
     assert meta["eigen_orthogonality"] < 1e-12
     assert ts.norm_drift() < 1e-10
     # snapshots that split the f = 1 flat top reuse its decomposition
     split = propagate(sys_, grid, PropagationPlan.from_ps(
         t_start=0.0, t_end=15.0, dt_ramp=0.005, dt_flat=0.005,
         snapshots=(4.0, 6.0, 8.0, 10.0, 15.0)), init)
-    assert split.meta["eigensolves"] == 2
+    assert split.meta["eigensolves"] == meta["eigensolves"]
     assert len(split.t) == len(ts.t)
     for a, b in ((split.snapshots[-1].g, ts.snapshots[-1].g),
                  (split.snapshots[-1].e, ts.snapshots[-1].e)):
@@ -687,8 +693,10 @@ def test_fft_counters_repeat_exactly():
 
 def test_exact_path_holds_at_most_three_matrices():
     # beyond the engine's own h_dense, the exact path at the largest dense
-    # n holds the copy it decomposes in place and LAPACK's workspace (two
-    # matrices), having released the scaled operator of the ramp before it
+    # n holds at most the copy it decomposes in place and LAPACK's
+    # workspace (two matrices), having released the ramp's propagator
+    # table before it; the f = 1 ramp has one node, whose decomposition
+    # the f = 1 interval reuses
     sys_, _, _ = _offset_pair()
     grid = build_uniform(3.0, 12.0, 256, 5000.0)
     pair = np.stack([gaussian(grid, 6.0, 0.44),
@@ -697,7 +705,6 @@ def test_exact_path_holds_at_most_three_matrices():
     tracemalloc.start()
     try:
         list(eng.steps(pair, 0.001 * ps2au, np.ones(3), const=False))
-        assert eng._op is not None
         tracemalloc.reset_peak()
         list(eng.steps(pair, 0.02 * ps2au, np.ones(3), const=True))
         peak = tracemalloc.get_traced_memory()[1]
@@ -707,7 +714,7 @@ def test_exact_path_holds_at_most_three_matrices():
     assert peak <= 3.1 * (2 * grid.n) ** 2 * 8
 
 
-# --- the dense path: one term buffer per ramp interval, exact blocks ----------------
+# --- the dense path: ramps interpolated between exact propagators, exact blocks ---
 
 def _eigen_propagator(sys_, grid, cap, f, pair):
     """phi -> V exp(-i E t) V^T phi of the capped coupled H(f), as a map of
@@ -719,9 +726,9 @@ def _eigen_propagator(sys_, grid, cap, f, pair):
         2, grid.n) / rj
 
 
-def test_dense_ramp_beyond_the_term_buffer_matches_exact_propagator():
-    # a step long enough that its series folds the term buffer three
-    # times; two steps at different f share the interval's expansion
+def test_long_dense_ramp_steps_match_exact_propagator():
+    # steps that a Chebyshev series takes to order 134; two steps at
+    # different f share the interval's node propagators
     sys_, grid, _ = _offset_pair()
     pair = np.stack([gaussian(grid, 6.0, 0.44),
                      0.5 * gaussian(grid, 6.5, 0.6)]).astype(complex)
@@ -729,12 +736,112 @@ def test_dense_ramp_beyond_the_term_buffer_matches_exact_propagator():
     assert eng.h_dense is not None
     dt = 0.05 * ps2au
     got = list(eng.steps(pair, dt, np.array([0.3, 0.8]), const=False))
-    assert eng.order_counts.keys() == {eng.max_order}
-    assert eng.max_order > 2 * propagation._DENSE_FOLD
+    assert eng.order_counts == {eng.max_order: 2}
     ref = pair
     for f, state in zip((0.3, 0.8), got):
         ref = _eigen_propagator(sys_, grid, eng.cap, f, ref)(dt)
         np.testing.assert_allclose(state, ref, rtol=0, atol=1e-12)
+
+
+def _nodes(w, dt, f_lo, f_hi, tol=1e-14):
+    """p + 1 for the least p with 2 rho^(p+1) / (p+1)! <= tol,
+    rho = (f_hi - f_lo) W dt / 4: the interpolation error bound from
+    |d^k U / df^k| <= (W dt)^k."""
+    rho, p = 0.25 * (f_hi - f_lo) * w * dt, 0
+    while 2.0 * rho ** (p + 1) / math.factorial(p + 1) > tol:
+        p += 1
+    return p + 1
+
+
+def _ramp_against_eigen_propagator(sys_, grid, dt, f_mid):
+    """Dense ramp steps at each f of f_mid from a two-Gaussian start, each
+    checked against exp(-i H(f) dt) of the previous exact state; returns
+    the engine."""
+    pair = np.stack([gaussian(grid, 6.0, 0.44),
+                     0.5 * gaussian(grid, 6.5, 0.6)]).astype(complex)
+    eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    assert eng.h_dense is not None
+    rj = np.sqrt(grid.jac)
+    ref = pair
+    for f, got in zip(f_mid, eng.steps(pair * rj, dt, f_mid, const=False)):
+        ref = _eigen_propagator(sys_, grid, eng.cap, f, ref)(dt)
+        np.testing.assert_allclose(got, ref * rj, rtol=0, atol=1e-12)
+    return eng
+
+
+@pytest.mark.parametrize("mapping, n", [("uniform", 64), ("adaptive", 120)])
+def test_interpolated_ramp_steps_match_exact_propagator(mapping, n):
+    # 20 steps at random f in [0, 1], none at a node, each within 1e-12 of
+    # exp(-i H(f) dt) from eigh of the capped coupled H(f)
+    sys_, grid, _ = _offset_pair()
+    if mapping == "adaptive":
+        grid = build_grid(sys_, n, 3.0, 12.0, kind=mapping)
+    assert grid.kind == mapping and grid.n == n
+    f_mid = np.random.default_rng(5).uniform(0.0, 1.0, 20)
+    dt = 0.01 * ps2au
+    eng = _ramp_against_eigen_propagator(sys_, grid, dt, f_mid)
+    nodes = _nodes(sys_.coupling, dt, f_mid.min(), f_mid.max())
+    assert eng.order_counts == {nodes: 20} and eng.eigensolves == nodes
+
+
+@pytest.mark.parametrize("w_cm, dt_ps, nodes", [(13.0, 0.005, 5),
+                                                (13.0, 0.01, 6),
+                                                (200.0, 0.02, 11)])
+def test_ramp_node_count_follows_the_bound(w_cm, dt_ps, nodes):
+    # a sin^2 rise of 40 steps: p + 1 nodes, one decomposition each; the
+    # strong coupling takes p = 10 and still matches to 1e-12
+    sys_, grid, _ = _offset_pair(w=w_cm * CM)
+    dt = dt_ps * ps2au
+    f_mid = np.sin(0.5 * np.pi * (np.arange(40) + 0.5) / 40) ** 2
+    assert _nodes(sys_.coupling, dt, f_mid.min(), f_mid.max()) == nodes
+    eng = _ramp_against_eigen_propagator(sys_, grid, dt, f_mid)
+    assert eng.order_counts == {nodes: 40}
+    assert eng.eigensolves == nodes and eng.matvecs == 40 * nodes
+    # a flat range is one node, whatever the coupling
+    flat = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    list(flat.steps(np.ones((2, grid.n), dtype=complex), dt,
+                    np.full(3, 0.5), const=False))
+    assert flat.order_counts == {1: 3} and flat.eigensolves == 1
+
+
+def test_ramp_only_run_conserves_norm_over_many_steps():
+    # 20,000 interpolated steps of the 2 ps rise
+    sys_, grid, init = _offset_pair()
+    plan = PropagationPlan.from_ps(t_start=0.0, t_end=2.0, dt_ramp=1e-4)
+    ts = propagate(sys_, grid, plan, init)
+    assert len(ts.t) - 1 == 20_000
+    assert ts.meta["order_counts"] == {ts.meta["max_order"]: 20_000}
+    assert ts.norm_drift() <= 1e-10
+
+
+def test_dense_ramp_holds_its_table_and_one_decomposition():
+    # at the largest dense n a ramp interval holds its p + 1 complex
+    # propagators and one decomposition (the copy LAPACK overwrites and its
+    # workspace, three matrices) at most, and frees the table when it ends:
+    # then only the last node's eigenvectors are held, and they are freed
+    # before the next interval's decomposition
+    sys_, _, _ = _offset_pair()
+    grid = build_uniform(3.0, 12.0, 256, 5000.0)
+    pair = np.stack([gaussian(grid, 6.0, 0.44),
+                     np.zeros(grid.n)]).astype(complex)
+    eng = _Engine(sys_, grid, tol=1e-14, margin=0.05)
+    matrix = (2 * grid.n) ** 2 * 8
+    tracemalloc.start()
+    try:
+        *_, phi = eng.steps(pair, 0.01 * ps2au, np.linspace(0.0, 1.0, 4),
+                            const=False)
+        held, ramp_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        list(eng.steps(phi, 0.02 * ps2au, np.zeros(3), const=True))
+        exact_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nodes = eng.max_order
+    assert nodes == _nodes(sys_.coupling, 0.01 * ps2au, 0.0, 1.0) == 6
+    assert eng.eigensolves == nodes + 1
+    assert ramp_peak <= (2 * nodes + 3.1) * matrix
+    assert held <= 1.1 * matrix
+    assert exact_peak <= 3.1 * matrix
 
 
 def test_exact_blocks_match_the_eigenbasis_across_a_split():
